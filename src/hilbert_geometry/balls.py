@@ -22,19 +22,16 @@ from dataclasses import dataclass
 
 from .errors import Degenerate
 from .geometry import (
-    ChordFrame,
     ClipResult,
     ConvexPolygon,
     Point2,
     RegionKind,
+    _ray,
+    _require_interior,
     clip_convex,
     convex_hull,
-    ray_boundary_intersection,
 )
-from .metrics import MetricKind, _require_interior, distance
-
-BOUNDARY_SAMPLES_PER_EDGE = 16
-
+from .metrics import MetricKind, _check_radius, distance
 
 @dataclass(frozen=True)
 class MetricBall:
@@ -52,37 +49,6 @@ class MetricBall:
         return self.shape.vertices
 
 
-@dataclass(frozen=True)
-class Spoke:
-    """The chord through an interior point and one domain vertex."""
-
-    vertex_index: int
-    chord: ChordFrame
-
-
-def spokes(omega: ConvexPolygon, p: Point2) -> list[Spoke]:
-    """One spoke per domain vertex; the chord's front endpoint is the vertex."""
-    p = _require_interior(omega, p)
-    out = []
-    for i, v in enumerate(omega.vertices):
-        d_fwd = math.hypot(v.x - p.x, v.y - p.y)
-        back = ray_boundary_intersection(omega, p, (p.x - v.x, p.y - v.y))
-        out.append(
-            Spoke(
-                vertex_index=i,
-                chord=ChordFrame(
-                    rear=back.point,
-                    front=v,
-                    d_p_rear=back.distance,
-                    d_q_rear=back.distance + d_fwd,
-                    d_p_front=d_fwd,
-                    d_q_front=0.0,
-                ),
-            )
-        )
-    return out
-
-
 def half_spokes(omega: ConvexPolygon, p: Point2) -> list[tuple[float, float, float, float]]:
     """Directed half-spokes (ux, uy, d_fwd, d_back) sorted by angle around p.
 
@@ -91,13 +57,17 @@ def half_spokes(omega: ConvexPolygon, p: Point2) -> list[tuple[float, float, flo
     distances depend only on p, so callers can cache the result and evaluate
     balls of many radii cheaply.
     """
-    p = _require_interior(omega, p)
+    return _half_spokes(omega, _require_interior(omega, p))
+
+
+def _half_spokes(omega: ConvexPolygon, p: Point2) -> list[tuple[float, float, float, float]]:
+    """half_spokes for an interior p."""
     px, py = p.x, p.y
     entries: list[tuple[float, float, float, float, float]] = []
     for v in omega.vertices:
         d_fwd = math.hypot(v.x - px, v.y - py)
         ux, uy = (v.x - px) / d_fwd, (v.y - py) / d_fwd
-        d_back = ray_boundary_intersection(omega, p, (-ux, -uy)).distance
+        d_back = _ray(omega, p, -ux, -uy).distance
         entries.append((math.atan2(uy, ux), ux, uy, d_fwd, d_back))
         entries.append((math.atan2(-uy, -ux), -ux, -uy, d_back, d_fwd))
     entries.sort()
@@ -153,61 +123,61 @@ def _polygon_or_none(region: ClipResult) -> ConvexPolygon | None:
     return None
 
 
-def funk_ball(omega: ConvexPolygon, p: Point2, r: float) -> MetricBall:
-    p = _require_interior(omega, p)
-    _check_radius(r)
-    if r == 0.0:
-        return MetricBall(MetricKind.FUNK, p, 0.0, omega, None)
-    shape = ConvexPolygon(tuple(funk_ball_points(omega, p, r)))
-    return MetricBall(MetricKind.FUNK, p, r, omega, shape)
+def _funk_shape(omega: ConvexPolygon, p: Point2, r: float) -> ConvexPolygon:
+    return ConvexPolygon(tuple(funk_ball_points(omega, p, r)))
 
 
-def reverse_funk_ball(omega: ConvexPolygon, p: Point2, r: float) -> MetricBall:
-    p = _require_interior(omega, p)
-    _check_radius(r)
-    if r == 0.0:
-        return MetricBall(MetricKind.REVERSE_FUNK, p, 0.0, omega, None)
+def _reverse_funk_shape(omega: ConvexPolygon, p: Point2, r: float) -> ConvexPolygon | None:
     homothet = ConvexPolygon(tuple(reverse_funk_ball_points(omega, p, r)))
-    shape = _polygon_or_none(clip_convex(homothet, omega))
-    return MetricBall(MetricKind.REVERSE_FUNK, p, r, omega, shape)
+    return _polygon_or_none(clip_convex(homothet, omega))
 
 
-def hilbert_ball(omega: ConvexPolygon, p: Point2, r: float) -> MetricBall:
-    p = _require_interior(omega, p)
-    _check_radius(r)
-    if r == 0.0:
-        return MetricBall(MetricKind.HILBERT, p, 0.0, omega, None)
-    pts = hilbert_ball_points(half_spokes(omega, p), p, r)
+def _hilbert_shape(omega: ConvexPolygon, p: Point2, r: float) -> ConvexPolygon | None:
+    pts = hilbert_ball_points(_half_spokes(omega, p), p, r)
     try:
-        shape = convex_hull(pts)
+        return convex_hull(pts)
     except Degenerate:
-        shape = None  # radius tiny relative to the domain scale
-    return MetricBall(MetricKind.HILBERT, p, r, omega, shape)
+        return None  # radius tiny relative to the domain scale
 
 
-def thompson_ball(omega: ConvexPolygon, p: Point2, r: float) -> MetricBall:
-    p = _require_interior(omega, p)
-    _check_radius(r)
-    if r == 0.0:
-        return MetricBall(MetricKind.THOMPSON, p, 0.0, omega, None)
-    fwd = funk_ball(omega, p, r).shape
-    rev = reverse_funk_ball(omega, p, r).shape
-    shape = None
-    if fwd is not None and rev is not None:
-        shape = _polygon_or_none(clip_convex(fwd, rev))
-    return MetricBall(MetricKind.THOMPSON, p, r, omega, shape)
+def _thompson_shape(omega: ConvexPolygon, p: Point2, r: float) -> ConvexPolygon | None:
+    rev = _reverse_funk_shape(omega, p, r)
+    if rev is None:
+        return None
+    return _polygon_or_none(clip_convex(_funk_shape(omega, p, r), rev))
 
 
-_CONSTRUCTORS = {
-    MetricKind.FUNK: funk_ball,
-    MetricKind.REVERSE_FUNK: reverse_funk_ball,
-    MetricKind.HILBERT: hilbert_ball,
-    MetricKind.THOMPSON: thompson_ball,
+_SHAPES = {
+    MetricKind.FUNK: _funk_shape,
+    MetricKind.REVERSE_FUNK: _reverse_funk_shape,
+    MetricKind.HILBERT: _hilbert_shape,
+    MetricKind.THOMPSON: _thompson_shape,
 }
 
 
 def ball(omega: ConvexPolygon, kind: MetricKind, p: Point2, r: float) -> MetricBall:
-    return _CONSTRUCTORS[kind](omega, p, r)
+    """The closed kind-ball of radius r about the interior point p."""
+    p = _require_interior(omega, p)
+    _check_radius(r)
+    if r == 0.0:
+        return MetricBall(kind, p, 0.0, omega, None)
+    return MetricBall(kind, p, r, omega, _SHAPES[kind](omega, p, r))
+
+
+def funk_ball(omega: ConvexPolygon, p: Point2, r: float) -> MetricBall:
+    return ball(omega, MetricKind.FUNK, p, r)
+
+
+def reverse_funk_ball(omega: ConvexPolygon, p: Point2, r: float) -> MetricBall:
+    return ball(omega, MetricKind.REVERSE_FUNK, p, r)
+
+
+def hilbert_ball(omega: ConvexPolygon, p: Point2, r: float) -> MetricBall:
+    return ball(omega, MetricKind.HILBERT, p, r)
+
+
+def thompson_ball(omega: ConvexPolygon, p: Point2, r: float) -> MetricBall:
+    return ball(omega, MetricKind.THOMPSON, p, r)
 
 
 def contains(b: MetricBall, x: Point2, slack: float) -> bool:
@@ -218,7 +188,3 @@ def contains(b: MetricBall, x: Point2, slack: float) -> bool:
     """
     return distance(b.domain, b.kind, b.center, x) <= b.radius + slack
 
-
-def _check_radius(r: float) -> None:
-    if r < 0.0 or not math.isfinite(r):
-        raise ValueError(f"radius must be finite and >= 0, got {r}")

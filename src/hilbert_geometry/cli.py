@@ -1,22 +1,23 @@
 """Batch command-line interface.
 
 Subcommands: ``distance``, ``ball``, ``meb``, ``bench``.  Exit codes group
-failures for harnesses: 0 ok, 2 document/parse errors, 3 geometric
-precondition failures, 4 usage errors.  Every failure prints one line to
-stderr: ``error: <code>: <detail>``.
+failures for harnesses: 0 ok, 2 document/parse errors (non-finite numbers
+included), 3 geometric precondition failures, 4 usage errors.  Every
+failure prints one line to stderr: ``error: <code>: <detail>``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from statistics import fmean
 from typing import Any, Sequence
 
 from .balls import ball as make_ball
-from .balls import spokes as domain_spokes
+from .balls import half_spokes
 from .errors import GeometryError
 from .geometry import ConvexPolygon, Point2, normalize_polygon
 from .meb import (
@@ -62,9 +63,12 @@ def _parse_point(text: str, flag: str) -> Point2:
     if len(parts) != 2:
         raise _parse_failure(f"{flag} must be X,Y, got {text!r}")
     try:
-        return Point2(float(parts[0]), float(parts[1]))
+        p = Point2(float(parts[0]), float(parts[1]))
     except ValueError:
         raise _parse_failure(f"{flag} must be numeric X,Y, got {text!r}") from None
+    if not (math.isfinite(p.x) and math.isfinite(p.y)):
+        raise _parse_failure(f"{flag} must be finite X,Y, got {text!r}")
+    return p
 
 
 def _coord_list(doc: dict, field: str, minimum: int) -> list[Point2]:
@@ -83,10 +87,17 @@ def _coord_list(doc: dict, field: str, minimum: int) -> list[Point2]:
     return pts
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise _parse_failure(f"non-finite number {text} in document")
+    return value
+
+
 def load_document(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
     except OSError as exc:
         raise _parse_failure(f"cannot read {path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
@@ -117,8 +128,8 @@ def build_instance(doc: dict, args: argparse.Namespace) -> MebInstance:
     tolerance = args.tolerance if args.tolerance is not None else doc.get("tolerance")
     if tolerance is None:
         tolerance = EPS_RADIUS
-    elif not isinstance(tolerance, (int, float)) or tolerance <= 0:
-        raise _parse_failure(f"tolerance must be a positive number, got {tolerance!r}")
+    elif not isinstance(tolerance, (int, float)) or not 0 < tolerance < math.inf:
+        raise _parse_failure(f"tolerance must be a finite positive number, got {tolerance!r}")
     omega = normalize_polygon(polygon)
     return make_instance(omega, points, kind, seed=seed, eps_radius=float(tolerance))
 
@@ -176,8 +187,8 @@ def _cmd_ball(args: argparse.Namespace) -> int:
     doc = load_document(args.input)
     omega, kind = _domain_only(doc, args)
     p = _parse_point(args.p, "--p")
-    if args.radius < 0:
-        raise _usage_failure(f"--radius must be >= 0, got {args.radius}")
+    if not (math.isfinite(args.radius) and args.radius >= 0):
+        raise _usage_failure(f"--radius must be finite and >= 0, got {args.radius}")
     b = make_ball(omega, kind, p, args.radius)
     _emit(
         {
@@ -191,7 +202,8 @@ def _cmd_ball(args: argparse.Namespace) -> int:
         spoke_lines = ()
         if kind is MetricKind.HILBERT:
             spoke_lines = tuple(
-                (s.chord.rear, s.chord.front) for s in domain_spokes(omega, b.center)
+                (b.center, Point2(b.center.x + d * ux, b.center.y + d * uy))
+                for ux, uy, d, _ in half_spokes(omega, b.center)
             )
         svg = render_scene(omega, points=(b.center,), balls=(b,), spokes=spoke_lines)
         with open(args.svg, "w", encoding="utf-8") as fh:
@@ -236,19 +248,19 @@ def run_bench(
     return rows
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _parse_int_list(text: str, flag: str, minimum: int) -> list[int]:
     try:
         values = [int(part) for part in text.split(",") if part]
     except ValueError:
         raise _parse_failure(f"{flag} must be a comma-separated integer list") from None
-    if not values or any(v <= 0 for v in values):
-        raise _parse_failure(f"{flag} needs positive integers, got {text!r}")
+    if not values or any(v < minimum for v in values):
+        raise _parse_failure(f"{flag} needs integers >= {minimum}, got {text!r}")
     return values
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    sizes = _parse_int_list(args.sizes, "--sizes")
-    sides = _parse_int_list(args.sides, "--sides")
+    sizes = _parse_int_list(args.sizes, "--sizes", 1)
+    sides = _parse_int_list(args.sides, "--sides", 3)
     if args.trials <= 0:
         raise _parse_failure(f"--trials must be positive, got {args.trials}")
     seed = args.seed if args.seed is not None else 0
@@ -307,9 +319,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stderr.write(f"error: {exc.kind}: {exc.detail}\n")
         return exc.code
     except GeometryError as exc:
-        sys.stderr.write(f"error: geometry: {exc}\n")
-        return 3
-    except ValueError as exc:
         sys.stderr.write(f"error: geometry: {exc}\n")
         return 3
 

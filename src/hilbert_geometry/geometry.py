@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import Degenerate, EmptyRegion, NotConvex, NotInterior
+from .errors import CoincidentPoints, Degenerate, EmptyRegion, NotConvex, NotInterior
 
 EPS_GEOM = 1e-9
 
@@ -245,8 +245,13 @@ def convex_hull(points: Sequence[Point2 | tuple[float, float]]) -> ConvexPolygon
 
 
 def point_location(omega: ConvexPolygon, p: Point2) -> PointLocation:
-    """Classify p against the polygon, with an EPS_GEOM boundary band."""
+    """Classify p against the polygon, with an EPS_GEOM boundary band.
+
+    Non-finite points are EXTERIOR, so this one test gates every entry point.
+    """
     px, py = float(p[0]), float(p[1])
+    if not (math.isfinite(px) and math.isfinite(py)):
+        return PointLocation.EXTERIOR
     scale = max(omega.scale, abs(px), abs(py))
     verts = omega.vertices
     n = len(verts)
@@ -264,6 +269,24 @@ def point_location(omega: ConvexPolygon, p: Point2) -> PointLocation:
     return PointLocation.BOUNDARY if on_edge else PointLocation.INTERIOR
 
 
+def _require_interior(omega: ConvexPolygon, p: Point2) -> Point2:
+    p = Point2(float(p[0]), float(p[1]))
+    if point_location(omega, p) is not PointLocation.INTERIOR:
+        raise NotInterior(f"point {tuple(p)} is not interior")
+    return p
+
+
+def _require_direction(direction: Point2 | tuple[float, float]) -> tuple[float, float]:
+    dx, dy = float(direction[0]), float(direction[1])
+    if not (math.isfinite(dx) and math.isfinite(dy)) or (dx == 0.0 and dy == 0.0):
+        raise ValueError(f"direction must be finite and nonzero, got {(dx, dy)}")
+    return dx, dy
+
+
+def _coincident(omega: ConvexPolygon, p: Point2, q: Point2) -> bool:
+    return math.hypot(p[0] - q[0], p[1] - q[1]) <= EPS_GEOM * omega.diameter
+
+
 class RayHit(NamedTuple):
     point: Point2
     edge_index: int
@@ -278,13 +301,14 @@ def ray_boundary_intersection(
     Vertex hits are assigned to the edge starting at that vertex, which makes
     chord construction deterministic.
     """
-    if point_location(omega, p) is not PointLocation.INTERIOR:
-        raise NotInterior(f"ray origin {tuple(p)} is not interior")
-    dx, dy = float(direction[0]), float(direction[1])
-    norm = math.hypot(dx, dy)
-    if norm == 0.0:
-        raise ValueError("zero direction")
+    p = _require_interior(omega, p)
+    dx, dy = _require_direction(direction)
+    return _ray(omega, p, dx, dy)
 
+
+def _ray(omega: ConvexPolygon, p: Point2, dx: float, dy: float) -> RayHit:
+    """ray_boundary_intersection for an interior p and a nonzero direction."""
+    norm = math.hypot(dx, dy)
     px, py = p[0], p[1]
     verts = omega.vertices
     n = len(verts)
@@ -332,16 +356,19 @@ class ChordFrame:
 
 def chord_frame(omega: ConvexPolygon, p: Point2, q: Point2) -> ChordFrame:
     """Chord endpoints and the four endpoint distances for interior p != q."""
-    from .errors import CoincidentPoints  # local: avoids every-import cost in hot paths
-
-    px, py = float(p[0]), float(p[1])
-    qx, qy = float(q[0]), float(q[1])
-    if math.hypot(qx - px, qy - py) <= EPS_GEOM * omega.diameter:
+    p = _require_interior(omega, p)
+    q = _require_interior(omega, q)
+    if _coincident(omega, p, q):
         raise CoincidentPoints(f"points {tuple(p)} and {tuple(q)} coincide")
-    if point_location(omega, q) is not PointLocation.INTERIOR:
-        raise NotInterior(f"point {tuple(q)} is not interior")
-    front = ray_boundary_intersection(omega, Point2(px, py), (qx - px, qy - py)).point
-    rear = ray_boundary_intersection(omega, Point2(px, py), (px - qx, py - qy)).point
+    return _chord(omega, p, q)
+
+
+def _chord(omega: ConvexPolygon, p: Point2, q: Point2) -> ChordFrame:
+    """chord_frame for interior, non-coincident p and q."""
+    px, py = p[0], p[1]
+    qx, qy = q[0], q[1]
+    front = _ray(omega, p, qx - px, qy - py).point
+    rear = _ray(omega, p, px - qx, py - qy).point
     return ChordFrame(
         rear=rear,
         front=front,

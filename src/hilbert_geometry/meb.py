@@ -34,24 +34,19 @@ from .balls import (
     hilbert_ball_points,
     reverse_funk_ball_points,
 )
-from .errors import (
-    CoincidentPoints,
-    EmptyInstance,
-    NoFeasibleBasis,
-    NotInterior,
-)
+from .errors import CoincidentPoints, EmptyInstance, NoFeasibleBasis
 from .geometry import (
     EPS_GEOM,
     ClipResult,
     ConvexPolygon,
     Point2,
-    PointLocation,
+    _coincident,
+    _require_interior,
     classify_region,
     clip_by_polygon,
     lexicographic_min,
-    point_location,
 )
-from .metrics import EPS_DIST, MetricKind, distance, hilbert_distance
+from .metrics import EPS_DIST, MetricKind, _check_radius, _distance
 
 EPS_RADIUS = 1e-10
 MAX_BISECTION_ITERATIONS = 200
@@ -114,16 +109,17 @@ def make_instance(
     seed: int = 0,
     eps_radius: float = EPS_RADIUS,
 ) -> MebInstance:
-    """Validate and deduplicate points, then freeze the instance."""
+    """Validate and deduplicate points, then freeze the instance.
+
+    The solvers run unchecked kernels on these points: this is their check.
+    """
+    if not (math.isfinite(eps_radius) and eps_radius > 0.0):
+        raise ValueError(f"eps_radius must be finite and > 0, got {eps_radius}")
     tol = EPS_GEOM * omega.diameter
     grid: dict[tuple[int, int], list[Point2]] = {}
     kept: list[Point2] = []
     for raw in points:
-        p = Point2(float(raw[0]), float(raw[1]))
-        if not (math.isfinite(p.x) and math.isfinite(p.y)):
-            raise ValueError(f"non-finite point: {tuple(p)}")
-        if point_location(omega, p) is not PointLocation.INTERIOR:
-            raise NotInterior(f"point {tuple(p)} is not interior")
+        p = _require_interior(omega, raw)
         cx, cy = int(p.x // tol), int(p.y // tol)
         duplicate = False
         for nx in (cx - 1, cx, cx + 1):
@@ -189,8 +185,7 @@ def _feasible_chain(
 
 def feasible_center_set(instance: MebInstance, r: float) -> ClipResult:
     """All centers whose radius-r ball encloses every instance point."""
-    if r < 0.0 or not math.isfinite(r):
-        raise ValueError(f"radius must be finite and >= 0, got {r}")
+    _check_radius(r)
     pts = instance.points
     if r == 0.0:
         if len(pts) == 1:
@@ -211,11 +206,11 @@ def _bisection_lower_bound(instance: MebInstance, pts: Sequence[Point2]) -> floa
     if len(pts) > 256:
         # Pairwise scan is quadratic; fall back to the anchored bound, which
         # is still a valid lower bound for a symmetric metric.
-        return max(hilbert_distance(omega, pts[0], q) for q in pts[1:]) / 2.0
+        return max(_distance(omega, MetricKind.HILBERT, pts[0], q) for q in pts[1:]) / 2.0
     best = 0.0
     for i, p in enumerate(pts):
         for q in pts[i + 1:]:
-            d = hilbert_distance(omega, p, q)
+            d = _distance(omega, MetricKind.HILBERT, p, q)
             if d > best:
                 best = d
     return best / 2.0
@@ -231,7 +226,7 @@ def _solve_bisection(
         return ObjectiveValue(0.0, pts[0])
     omega, kind = instance.omega, instance.kind
     x0 = pts[0]
-    r_hi = max(distance(omega, kind, x0, x) for x in pts[1:]) + 1.0
+    r_hi = max(_distance(omega, kind, x0, x) for x in pts[1:]) + 1.0
     if r_lo is None:
         r_lo = _bisection_lower_bound(instance, pts)
     iters = 0
@@ -275,11 +270,10 @@ def two_point_center(instance: MebInstance, p: Point2, q: Point2) -> ObjectiveVa
     """
     _require_hilbert(instance, "two_point_center")
     omega = instance.omega
-    p = Point2(float(p[0]), float(p[1]))
-    q = Point2(float(q[0]), float(q[1]))
-    if math.hypot(p.x - q.x, p.y - q.y) <= EPS_GEOM * omega.diameter:
+    p, q = _require_interior(omega, p), _require_interior(omega, q)
+    if _coincident(omega, p, q):
         raise CoincidentPoints("two_point_center needs distinct points")
-    r_star = hilbert_distance(omega, p, q) / 2.0
+    r_star = _distance(omega, MetricKind.HILBERT, p, q) / 2.0
     if r_star <= instance.eps_dist:
         # Balls this small are below distance tolerance; any point between
         # the pair supports both within eps_dist.
@@ -311,7 +305,7 @@ def _contains_value(
     instance: MebInstance, value: ObjectiveValue, x: Point2
 ) -> bool:
     return (
-        distance(instance.omega, instance.kind, value.center, x)
+        _distance(instance.omega, instance.kind, value.center, x)
         <= value.radius + instance.eps_dist
     )
 
@@ -360,23 +354,12 @@ def three_point_value(
 ) -> ObjectiveValue:
     """Minimum Hilbert ball of three points (see _three_point_core)."""
     _require_hilbert(instance, "three_point_value")
-    omega = instance.omega
-    tol = EPS_GEOM * omega.diameter
-    pts: list[Point2] = []
-    for raw in (a, b, c):
-        p = Point2(float(raw[0]), float(raw[1]))
-        if not any(math.hypot(p.x - q.x, p.y - q.y) <= tol for q in pts):
-            pts.append(p)
-    if len(pts) == 1:
+    sub = make_instance(
+        instance.omega, (a, b, c), MetricKind.HILBERT, eps_radius=instance.eps_radius
+    )
+    if len(sub.points) == 1:
         raise CoincidentPoints("three_point_value needs at least two distinct points")
-    if len(pts) == 2:
-        return two_point_center(instance, pts[0], pts[1])
-    pair_values = [
-        (two_point_center(instance, pts[i], pts[j]), (i, j))
-        for i, j in ((0, 1), (0, 2), (1, 2))
-    ]
-    value, _ = _three_point_core(instance, pts, pair_values, None)
-    return value
+    return _subset_value(sub, tuple(range(len(sub.points))), None)[0]
 
 
 def _subset_value(
@@ -430,21 +413,32 @@ def basis_computation(
     if stats is not None:
         stats.basis_computations += 1
     old = [i for i in basis.indices if i != x]
-    group = old + [x]
     candidates: list[tuple[int, ...]] = [(x,)]
     candidates += [tuple(sorted((i, x))) for i in old]
     candidates += [tuple(sorted((i, j, x))) for i, j in combinations(old, 2)]
+    value, support = _best_cover(instance, candidates, old + [x], stats)
+    return Basis(tuple(sorted(support)), value)
+
+
+def _best_cover(
+    instance: MebInstance,
+    candidates: Iterable[tuple[int, ...]],
+    group: Sequence[int],
+    stats: SolveStats | None,
+) -> tuple[ObjectiveValue, tuple[int, ...]]:
+    """The smallest candidate subset value whose ball covers every point of
+    group, with its support; ties keep the earliest candidate."""
     best: tuple[ObjectiveValue, tuple[int, ...]] | None = None
     pts = instance.points
     for cand in candidates:
         value, support = _subset_value(instance, cand, stats)
-        if not all(_contains_value(instance, value, pts[i]) for i in group):
+        if best is not None and not value < best[0]:
             continue
-        if best is None or value < best[0]:
+        if all(_contains_value(instance, value, pts[i]) for i in group):
             best = (value, support)
     if best is None:
-        raise NoFeasibleBasis(f"no candidate basis covers points {group}")
-    return Basis(tuple(sorted(best[1])), best[0])
+        raise NoFeasibleBasis(f"no support of size <= 3 covers points {list(group)}")
+    return best
 
 
 def lp_type_solve(instance: MebInstance) -> MebResult:
@@ -493,27 +487,7 @@ def objective_f(instance: MebInstance, subset: Sequence[int]) -> ObjectiveValue:
     n = len(instance.points)
     if any(i < 0 or i >= n for i in idxs):
         raise IndexError(f"subset indices out of range: {idxs}")
-    best: ObjectiveValue | None = None
-    for size in range(1, min(3, len(idxs)) + 1):
-        for cand in combinations(idxs, size):
-            value, _ = _subset_value(instance, cand, None)
-            covered = _covered_mask(instance, cand, value)
-            if all(covered[i] for i in idxs):
-                if best is None or value < best:
-                    best = value
-    if best is None:
-        raise NoFeasibleBasis(f"no support of size <= 3 covers subset {idxs}")
-    return best
-
-
-def _covered_mask(
-    instance: MebInstance, cand: tuple[int, ...], value: ObjectiveValue
-) -> tuple[bool, ...]:
-    key = ("covers", cand)
-    mask = instance._cache.get(key)
-    if mask is None:
-        mask = tuple(
-            _contains_value(instance, value, p) for p in instance.points
-        )
-        instance._cache[key] = mask
-    return mask
+    candidates = (
+        cand for size in range(1, min(3, len(idxs)) + 1) for cand in combinations(idxs, size)
+    )
+    return _best_cover(instance, candidates, idxs, None)[0]

@@ -17,15 +17,15 @@ from __future__ import annotations
 import enum
 import math
 
-from .errors import NotInterior, Unreachable
+from .errors import Unreachable
 from .geometry import (
-    EPS_GEOM,
     ConvexPolygon,
     Point2,
-    PointLocation,
-    chord_frame,
-    point_location,
-    ray_boundary_intersection,
+    _chord,
+    _coincident,
+    _ray,
+    _require_direction,
+    _require_interior,
 )
 
 EPS_DIST = 1e-7
@@ -50,66 +50,72 @@ class MetricKind(enum.Enum):
         return self
 
 
-def _require_interior(omega: ConvexPolygon, p: Point2) -> Point2:
-    p = Point2(float(p[0]), float(p[1]))
-    if point_location(omega, p) is not PointLocation.INTERIOR:
-        raise NotInterior(f"point {tuple(p)} is not interior")
-    return p
-
-
-def _coincident(omega: ConvexPolygon, p: Point2, q: Point2) -> bool:
-    return math.hypot(p[0] - q[0], p[1] - q[1]) <= EPS_GEOM * omega.diameter
-
-
-def funk_distance(omega: ConvexPolygon, p: Point2, q: Point2) -> float:
-    p = _require_interior(omega, p)
-    q = _require_interior(omega, q)
-    if _coincident(omega, p, q):
-        return 0.0
-    front = ray_boundary_intersection(omega, p, (q.x - p.x, q.y - p.y)).point
+def _funk(omega: ConvexPolygon, p: Point2, q: Point2) -> float:
+    front = _ray(omega, p, q.x - p.x, q.y - p.y).point
     return math.log(
         math.hypot(p.x - front.x, p.y - front.y)
         / math.hypot(q.x - front.x, q.y - front.y)
     )
 
 
-def reverse_funk_distance(omega: ConvexPolygon, p: Point2, q: Point2) -> float:
-    return funk_distance(omega, q, p)
+def _reverse_funk(omega: ConvexPolygon, p: Point2, q: Point2) -> float:
+    return _funk(omega, q, p)
 
 
-def hilbert_distance(omega: ConvexPolygon, p: Point2, q: Point2) -> float:
-    p = _require_interior(omega, p)
-    q = _require_interior(omega, q)
-    if _coincident(omega, p, q):
-        return 0.0
-    frame = chord_frame(omega, p, q)
+def _hilbert(omega: ConvexPolygon, p: Point2, q: Point2) -> float:
+    frame = _chord(omega, p, q)
     return 0.5 * math.log(
         (frame.d_q_rear / frame.d_p_rear) * (frame.d_p_front / frame.d_q_front)
     )
 
 
-def thompson_distance(omega: ConvexPolygon, p: Point2, q: Point2) -> float:
-    p = _require_interior(omega, p)
-    q = _require_interior(omega, q)
-    if _coincident(omega, p, q):
-        return 0.0
-    frame = chord_frame(omega, p, q)
+def _thompson(omega: ConvexPolygon, p: Point2, q: Point2) -> float:
+    frame = _chord(omega, p, q)
     return max(
         math.log(frame.d_p_front / frame.d_q_front),
         math.log(frame.d_q_rear / frame.d_p_rear),
     )
 
 
-_DISPATCH = {
-    MetricKind.FUNK: funk_distance,
-    MetricKind.REVERSE_FUNK: reverse_funk_distance,
-    MetricKind.HILBERT: hilbert_distance,
-    MetricKind.THOMPSON: thompson_distance,
+_KERNELS = {
+    MetricKind.FUNK: _funk,
+    MetricKind.REVERSE_FUNK: _reverse_funk,
+    MetricKind.HILBERT: _hilbert,
+    MetricKind.THOMPSON: _thompson,
 }
 
 
 def distance(omega: ConvexPolygon, kind: MetricKind, p: Point2, q: Point2) -> float:
-    return _DISPATCH[kind](omega, p, q)
+    """The kind-distance from p to q; both must be interior points."""
+    return _distance(omega, kind, _require_interior(omega, p), _require_interior(omega, q))
+
+
+def _distance(omega: ConvexPolygon, kind: MetricKind, p: Point2, q: Point2) -> float:
+    """distance for points already known to be interior."""
+    if _coincident(omega, p, q):
+        return 0.0
+    return _KERNELS[kind](omega, p, q)
+
+
+def funk_distance(omega: ConvexPolygon, p: Point2, q: Point2) -> float:
+    return distance(omega, MetricKind.FUNK, p, q)
+
+
+def reverse_funk_distance(omega: ConvexPolygon, p: Point2, q: Point2) -> float:
+    return distance(omega, MetricKind.REVERSE_FUNK, p, q)
+
+
+def hilbert_distance(omega: ConvexPolygon, p: Point2, q: Point2) -> float:
+    return distance(omega, MetricKind.HILBERT, p, q)
+
+
+def thompson_distance(omega: ConvexPolygon, p: Point2, q: Point2) -> float:
+    return distance(omega, MetricKind.THOMPSON, p, q)
+
+
+def _check_radius(r: float) -> None:
+    if r < 0.0 or not math.isfinite(r):
+        raise ValueError(f"radius must be finite and >= 0, got {r}")
 
 
 def offset_at_distance(kind: MetricKind, d_fwd: float, d_back: float, r: float) -> float:
@@ -119,8 +125,7 @@ def offset_at_distance(kind: MetricKind, d_fwd: float, d_back: float, r: float) 
     Closed forms per metric; raises Unreachable when the reverse-Funk sphere
     leaves the domain in this direction (u would reach the boundary).
     """
-    if r < 0.0 or not math.isfinite(r):
-        raise ValueError(f"radius must be finite and >= 0, got {r}")
+    _check_radius(r)
     if r == 0.0:
         return 0.0
     if kind is MetricKind.FUNK:
@@ -150,14 +155,12 @@ def point_at_distance(
 ) -> Point2:
     """The unique point q on the ray p + t*direction with distance(p, q) = r."""
     p = _require_interior(omega, p)
-    dx, dy = float(direction[0]), float(direction[1])
-    norm = math.hypot(dx, dy)
-    if norm == 0.0:
-        raise ValueError("zero direction")
+    dx, dy = _require_direction(direction)
     if r == 0.0:
         return p
+    norm = math.hypot(dx, dy)
     ux, uy = dx / norm, dy / norm
-    d_fwd = ray_boundary_intersection(omega, p, (ux, uy)).distance
-    d_back = ray_boundary_intersection(omega, p, (-ux, -uy)).distance
+    d_fwd = _ray(omega, p, ux, uy).distance
+    d_back = _ray(omega, p, -ux, -uy).distance
     u = offset_at_distance(kind, d_fwd, d_back, r)
     return Point2(p.x + u * ux, p.y + u * uy)

@@ -88,9 +88,3 @@ def render_scene(
         parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3" fill="black" />')
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-def write_scene(path: str, **kwargs) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_scene(**kwargs))
-        fh.write("\n")

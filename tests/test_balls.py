@@ -11,10 +11,10 @@ from hilbert_geometry import (
     contains,
     distance,
     funk_ball,
+    half_spokes,
     hilbert_ball,
     point_location,
     reverse_funk_ball,
-    spokes,
     thompson_ball,
 )
 from hilbert_geometry.metrics import EPS_DIST
@@ -121,12 +121,20 @@ class TestHilbertBall:
         b = hilbert_ball(omega, p, r)
         assert m <= len(b.shape) <= 2 * m
 
-    def test_spokes_end_on_vertices(self, unit_square):
-        for s in spokes(unit_square, P(0.3, 0.6)):
-            v = unit_square.vertices[s.vertex_index]
-            assert s.chord.front == v
-            assert point_location(unit_square, s.chord.rear) is PointLocation.BOUNDARY
-            assert s.chord.d_q_front == 0.0
+    @pytest.mark.parametrize("p", [P(0.3, 0.6), CENTER], ids=["off_diagonal", "center"])
+    def test_half_spokes_end_on_boundary_and_vertices(self, unit_square, p):
+        frames = half_spokes(unit_square, p)
+        ends = [P(p.x + d_fwd * ux, p.y + d_fwd * uy) for ux, uy, d_fwd, _ in frames]
+        for end in ends:
+            assert point_location(unit_square, end) is PointLocation.BOUNDARY
+        for v in unit_square.vertices:
+            assert any(math.hypot(v.x - e.x, v.y - e.y) <= 1e-12 for e in ends)
+        # At the center, p is collinear with opposite vertices, so each
+        # direction is kept once from either vertex: equal up to rounding.
+        for ux, uy, d_fwd, d_back in frames:
+            opposite = [f for f in frames if f[:2] == pytest.approx((-ux, -uy), abs=1e-15)]
+            assert len(opposite) == 1
+            assert opposite[0][2:] == pytest.approx((d_back, d_fwd), rel=1e-15)
 
 
 class TestThompsonBall:

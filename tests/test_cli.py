@@ -268,3 +268,54 @@ class TestBenchCommand:
     def test_missing_subcommand_exits_4(self, capsys):
         code, _, err = run_cli(capsys)
         assert code == 4
+
+
+class TestNonFiniteInput:
+    """Non-finite numbers are parse errors (2); a bad radius is usage (4)."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["meb", "--solver", "bisection", "--tolerance", "inf"], 2),
+            (["meb", "--solver", "bisection", "--tolerance", "nan"], 2),
+            (["ball", "--p", "nan,0.5", "--radius", "0.5", "--metric", "funk"], 2),
+            (["distance", "--p", "0.5,0.5", "--q", "0.5,inf"], 2),
+            (["ball", "--p", "0.5,0.5", "--radius", "nan"], 4),
+            (["ball", "--p", "0.5,0.5", "--radius", "inf"], 4),
+        ],
+    )
+    def test_flag_values(self, square_doc, capsys, argv, code):
+        got, out, err = run_cli(capsys, argv[0], "--input", square_doc, *argv[1:])
+        assert got == code
+        assert out == ""
+        assert err.startswith("error: parse: " if code == 2 else "error: usage: ")
+
+    @pytest.mark.parametrize(
+        "field, value, detail",
+        [
+            ("tolerance", math.inf, "Infinity"),
+            ("tolerance", math.nan, "NaN"),
+            ("tolerance", 0, "tolerance"),
+            ("polygon", [[0, 0], [1, 0], [1, -math.inf], [0, 1]], "-Infinity"),
+            ("points", [[0.25, 0.5], [math.nan, 0.5]], "NaN"),
+        ],
+    )
+    def test_document_values(self, tmp_path, capsys, field, value, detail):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(dict(SQUARE_DOC, **{field: value})))
+        code, out, err = run_cli(capsys, "meb", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: parse: ") and detail in err
+
+    def test_overflowing_literal_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(SQUARE_DOC).replace("0.75", "1e400"))
+        code, out, err = run_cli(capsys, "meb", "--input", str(path))
+        assert code == 2
+        assert err.startswith("error: parse: ") and "1e400" in err
+
+    def test_bench_sides_below_3_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "bench", "--sizes", "5", "--sides", "2", "--trials", "1")
+        assert code == 2
+        assert err.startswith("error: parse: ") and "--sides" in err
