@@ -83,7 +83,10 @@ def _coord_list(doc: dict, field: str, minimum: int) -> list[Point2]:
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
         ):
             raise _parse_failure(f"{field}[{i}] must be an [x, y] pair of numbers")
-        pts.append(Point2(float(entry[0]), float(entry[1])))
+        try:
+            pts.append(Point2(float(entry[0]), float(entry[1])))
+        except OverflowError:
+            raise _parse_failure(f"{field}[{i}] is beyond the float range") from None
     return pts
 
 
@@ -100,7 +103,7 @@ def load_document(path: str) -> dict:
             doc = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
     except OSError as exc:
         raise _parse_failure(f"cannot read {path}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, integers past the digit limit
         raise _parse_failure(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise _parse_failure("document root must be an object")
@@ -128,7 +131,7 @@ def build_instance(doc: dict, args: argparse.Namespace) -> MebInstance:
     tolerance = args.tolerance if args.tolerance is not None else doc.get("tolerance")
     if tolerance is None:
         tolerance = EPS_RADIUS
-    elif not isinstance(tolerance, (int, float)) or not 0 < tolerance < math.inf:
+    elif not isinstance(tolerance, (int, float)) or not 0 < tolerance <= sys.float_info.max:
         raise _parse_failure(f"tolerance must be a finite positive number, got {tolerance!r}")
     omega = normalize_polygon(polygon)
     return make_instance(omega, points, kind, seed=seed, eps_radius=float(tolerance))

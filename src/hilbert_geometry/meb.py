@@ -3,8 +3,8 @@
 Two solvers share one objective:
 
 * ``lp_type_solve`` (Hilbert only): randomized incremental solver of
-  combinatorial dimension 3, built from the violation-test and
-  basis-computation primitives.
+  combinatorial dimension 3 over the points' hull candidates, built from
+  the violation-test and basis-computation primitives.
 * ``min_ball_bisection`` (all four metrics): radius bisection against the
   feasible-center region, used as the reference oracle for the LP-type path.
 
@@ -441,20 +441,35 @@ def _best_cover(
     return best
 
 
-def lp_type_solve(instance: MebInstance) -> MebResult:
-    """Randomized incremental LP-type solver (move-to-front variant).
+def _hull_candidates(points: Sequence[Point2], scale: float) -> set[int]:
+    """Indices of the points not strictly inside the hull of the others.
 
-    Points are scanned in a seed-shuffled order; a violating point is moved
-    to the front and the scan restarts, so every accepted prefix is certified
-    against the current basis.  Each basis change strictly increases the
-    objective, which bounds the number of restarts.
+    Monotone chain over indices.  A point is popped only on a right turn
+    below -1e-12 * scale**2, so collinear and near-collinear points stay; a
+    point popped from both chains lies inside the hull of others and cannot
+    support a ball.
     """
-    _require_hilbert(instance, "lp_type_solve")
+    keep_band = -1e-12 * scale * scale
+    ordered = sorted(range(len(points)), key=points.__getitem__)
+    keep: set[int] = set()
+    for seq in (ordered, ordered[::-1]):
+        chain: list[int] = []
+        for k in seq:
+            p = points[k]
+            while len(chain) >= 2:
+                a, b = points[chain[-2]], points[chain[-1]]
+                if (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x) >= keep_band:
+                    break
+                chain.pop()
+            chain.append(k)
+        keep.update(chain)
+    return keep
+
+
+def _move_to_front(instance: MebInstance, order: list[int], stats: SolveStats) -> Basis:
+    """Move-to-front scan over instance indices; reorders ``order`` in place."""
     pts = instance.points
-    n = len(pts)
-    stats = SolveStats()
-    order = list(range(n))
-    random.Random(instance.seed).shuffle(order)
+    n = len(order)
     first = order[0]
     basis = Basis((first,), ObjectiveValue(0.0, pts[first]))
     changes = 0
@@ -474,6 +489,24 @@ def lp_type_solve(instance: MebInstance) -> MebResult:
             i = 0
         else:
             i += 1
+    return basis
+
+
+def lp_type_solve(instance: MebInstance) -> MebResult:
+    """Randomized incremental LP-type solver (move-to-front variant).
+
+    Hilbert balls are convex, so only hull candidates can support the
+    optimum; they are scanned in a seed-shuffled order.  A violating point
+    is moved to the front and the scan restarts, so every accepted prefix is
+    certified against the current basis.  Each basis change strictly
+    increases the objective, which bounds the number of restarts.
+    """
+    _require_hilbert(instance, "lp_type_solve")
+    order = list(range(len(instance.points)))
+    random.Random(instance.seed).shuffle(order)
+    keep = _hull_candidates(instance.points, instance.omega.scale)
+    stats = SolveStats()
+    basis = _move_to_front(instance, [i for i in order if i in keep], stats)
     realized = ball(instance.omega, instance.kind, basis.value.center, basis.value.radius)
     return MebResult(basis.value, basis, realized, stats)
 

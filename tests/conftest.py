@@ -12,6 +12,7 @@ from hilbert_geometry import (
     normalize_polygon,
     point_location,
 )
+from hilbert_geometry.meb import SolveStats, _move_to_front
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -23,6 +24,15 @@ def unit_square():
 
 def seeded(seed: int) -> random.Random:
     return random.Random(seed)
+
+
+def unfiltered_scan(instance):
+    """The move-to-front core over every instance index, in the seed order
+    lp_type_solve shuffles them into: the solver without its hull filter."""
+    order = list(range(len(instance.points)))
+    random.Random(instance.seed).shuffle(order)
+    stats = SolveStats()
+    return _move_to_front(instance, order, stats), stats
 
 
 def boundary_samples(ball: MetricBall, per_edge: int = 16) -> list[Point2]:

@@ -12,6 +12,7 @@ for a pinned, distance-verified counterexample).
 import math
 import random
 import time
+from statistics import fmean
 
 from hilbert_geometry import (
     MetricKind,
@@ -31,14 +32,13 @@ from hilbert_geometry import (
     thompson_ball,
     thompson_distance,
 )
-from hilbert_geometry.cli import run_bench
 from hilbert_geometry.sampling import (
     random_convex_polygon,
     random_instance,
     random_interior_point,
 )
 
-from conftest import exact_thompson_sides
+from conftest import exact_thompson_sides, unfiltered_scan
 
 SQUARE = normalize_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -263,10 +263,20 @@ def test_criterion_8_weak_metric_minimality():
 
 
 def test_criterion_9_empirical_linearity():
+    # The unfiltered move-to-front core over all points, on the instances
+    # run_bench([100, 1000, 10000], [8], trials=5, seed=0) builds, in each
+    # instance's seed order: lp_type_solve's hull prefilter must not be
+    # what makes this pass.
     start = time.perf_counter()
-    rows = run_bench([100, 1000, 10000], [8], trials=5, seed=0)
+    per_point = {}
+    for n in (100, 1000, 10000):
+        tests = []
+        for trial in range(5):
+            derived = ((0 * 31 + n) * 31 + 8) * 31 + trial  # run_bench's seed, m = 8
+            inst = random_instance(8, n, MetricKind.HILBERT, derived)
+            tests.append(unfiltered_scan(inst)[1].violation_tests)
+        per_point[n] = fmean(tests) / n
     elapsed = time.perf_counter() - start
-    per_point = {n: vt / n for n, _, vt, _, _ in rows}
     bounded = all(v <= 20.0 for v in per_point.values())
     _report(
         9,

@@ -298,6 +298,14 @@ class TestNonFiniteInput:
             ("tolerance", 0, "tolerance"),
             ("polygon", [[0, 0], [1, 0], [1, -math.inf], [0, 1]], "-Infinity"),
             ("points", [[0.25, 0.5], [math.nan, 0.5]], "NaN"),
+            pytest.param(
+                "polygon", [[0, 0], [1, 0], [10**400, 1], [0, 1]], "polygon[2]",
+                id="polygon-huge-int",
+            ),
+            pytest.param(
+                "points", [[0.25, 0.5], [0.75, 10**400]], "points[1]", id="points-huge-int"
+            ),
+            pytest.param("tolerance", 10**400, "tolerance", id="tolerance-huge-int"),
         ],
     )
     def test_document_values(self, tmp_path, capsys, field, value, detail):
@@ -314,6 +322,20 @@ class TestNonFiniteInput:
         code, out, err = run_cli(capsys, "meb", "--input", str(path))
         assert code == 2
         assert err.startswith("error: parse: ") and "1e400" in err
+
+    def test_integer_past_digit_limit_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(SQUARE_DOC)[:-1] + ', "seed": 1' + "0" * 5000 + "}")
+        code, out, err = run_cli(capsys, "meb", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: parse: ") and "not valid JSON" in err
+
+    def test_non_utf8_document_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_bytes(json.dumps(SQUARE_DOC).encode()[:-1] + b', "note": "\xff"}')
+        code, out, err = run_cli(capsys, "meb", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: parse: ") and "not valid JSON" in err
 
     def test_bench_sides_below_3_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--sizes", "5", "--sides", "2", "--trials", "1")

@@ -24,11 +24,11 @@ from hilbert_geometry import (
     two_point_center,
     violation_test,
 )
-from hilbert_geometry.meb import EPS_RADIUS
+from hilbert_geometry.meb import EPS_RADIUS, _hull_candidates
 from hilbert_geometry.metrics import EPS_DIST
 from hilbert_geometry.sampling import random_instance
 
-from conftest import UNIT_SQUARE, seeded
+from conftest import UNIT_SQUARE, seeded, unfiltered_scan
 
 P = Point2
 SQUARE = normalize_polygon(UNIT_SQUARE)
@@ -327,6 +327,57 @@ class TestLpTypeSolve:
             assert result.value.center == pytest.approx(
                 reference.value.center, abs=EPS_DIST
             )
+
+
+def _edge_run(trial):
+    """41 points on a horizontal line just above the unit square's bottom
+    edge (odd trials jittered by up to 3e-10) plus one point near the top."""
+    rng = seeded(1000 + trial)
+    height = (1e-5, 3e-5, 1e-4, 3e-4, 1e-3)[trial % 5]
+    jitter = 3e-10 if trial % 2 else 0.0
+    pts = [(0.05 + 0.9 * k / 40, height + rng.uniform(-jitter, jitter)) for k in range(41)]
+    return pts + [(rng.uniform(0.2, 0.8), 1.0 - 1e-3)]
+
+
+# name -> (points, instance seed)
+PREFILTER_CASES = {
+    "one_point": ([(0.6, 0.4)], 0),
+    "two_points": ([(0.3, 0.6), (0.7, 0.2)], 1),
+    "collinear_30": ([(0.1 + 0.8 * k / 29, 0.1 + 0.5 * k / 29) for k in range(30)], 2),
+    **{f"edge_run_{trial}": (_edge_run(trial), trial) for trial in range(10)},
+}
+
+
+class TestHullPrefilter:
+    """lp_type_solve scans hull candidates only and must agree bit for bit
+    with the unfiltered move-to-front core over every index."""
+
+    @pytest.mark.parametrize("case", sorted(PREFILTER_CASES))
+    def test_matches_unfiltered_core(self, case):
+        pts, seed = PREFILTER_CASES[case]
+        inst = make_instance(SQUARE, pts, MetricKind.HILBERT, seed=seed)
+        result = lp_type_solve(inst)
+        full, _ = unfiltered_scan(make_instance(SQUARE, pts, MetricKind.HILBERT, seed=seed))
+        assert result.value.radius.hex() == full.value.radius.hex()
+        assert [c.hex() for c in result.value.center] == [c.hex() for c in full.value.center]
+        assert result.basis.indices == full.indices
+        for x in inst.points:
+            assert hilbert_distance(SQUARE, result.value.center, x) <= (
+                result.value.radius + EPS_DIST
+            )
+
+    def test_drops_only_points_strictly_inside(self):
+        corners = [(0.1, 0.1), (0.9, 0.1), (0.9, 0.9), (0.1, 0.9)]
+        # On an edge, or 1e-13 inside it (within the keep band): kept.
+        on_edges = [(0.5, 0.1), (0.9, 0.3), (0.3, 0.1 + 1e-13)]
+        inside = [(0.5, 0.5), (0.2, 0.7), (0.5, 0.1 + 1e-9)]
+        keep = _hull_candidates([P(*p) for p in corners + on_edges + inside], 1.0)
+        assert keep == set(range(len(corners) + len(on_edges)))
+
+    def test_scans_fewer_points_than_the_core(self):
+        inst = random_instance(8, 1000, MetricKind.HILBERT, seed=3)
+        _, stats = unfiltered_scan(inst)
+        assert lp_type_solve(inst).stats.violation_tests < stats.violation_tests / 10
 
 
 class TestObjectiveF:
