@@ -2,9 +2,11 @@
 
 Everything downstream (distances, balls, solvers) is built on the
 predicates in this module, which all share a single relative tolerance
-``EPS_GEOM``.  Predicates compare against ``EPS_GEOM`` scaled by the
-magnitude of their inputs, so the kernel behaves identically for a unit
-square and for the same square translated to coordinates around 1e6.
+``EPS_GEOM``, measured in an extent that translation does not change:
+``ConvexPolygon.scale`` (the larger side of the vertex bounding box), or in
+:func:`orientation` the triangle's own.  A polygon and its translate give
+the same answers up to coordinate rounding, measured to offsets of 1e5
+times the extent; at 1e6, rounding outgrows the solvers' clip band.
 """
 
 from __future__ import annotations
@@ -33,15 +35,24 @@ def _require_finite(p: Point2) -> Point2:
     return p
 
 
+def _extent(pts: Iterable[Point2]) -> float:
+    """Larger side of the bounding box of pts."""
+    xs, ys = zip(*pts)
+    return max(max(xs) - min(xs), max(ys) - min(ys))
+
+
 def orientation(a: Point2, b: Point2, c: Point2) -> int:
     """Sign of the signed twice-area of triangle abc (+1 CCW, -1 CW, 0 flat).
 
-    Returns 0 when |area| <= EPS_GEOM * scale**2, scale being the largest
-    coordinate magnitude among the inputs.
+    Returns 0 when |area| <= EPS_GEOM * size**2, size being the largest
+    coordinate difference within the triangle, so the answer depends on
+    the triangle's shape, not on where it sits.
     """
-    cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    scale = max(abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1]), abs(c[0]), abs(c[1]))
-    if abs(cross) <= EPS_GEOM * scale * scale:
+    ux, uy = b[0] - a[0], b[1] - a[1]
+    vx, vy = c[0] - a[0], c[1] - a[1]
+    cross = ux * vy - uy * vx
+    size = max(abs(ux), abs(uy), abs(vx), abs(vy), abs(vx - ux), abs(vy - uy))
+    if abs(cross) <= EPS_GEOM * size * size:
         return 0
     return 1 if cross > 0.0 else -1
 
@@ -67,20 +78,8 @@ class ConvexPolygon:
 
     @cached_property
     def scale(self) -> float:
-        """Largest coordinate magnitude; tolerance unit for this polygon."""
-        return max(max(abs(p.x), abs(p.y)) for p in self.vertices)
-
-    @cached_property
-    def diameter(self) -> float:
-        """Largest pairwise vertex distance."""
-        verts = self.vertices
-        best = 0.0
-        for i, p in enumerate(verts):
-            for q in verts[i + 1:]:
-                d = math.hypot(p.x - q.x, p.y - q.y)
-                if d > best:
-                    best = d
-        return best
+        """Larger side of the vertex bounding box; the tolerance unit."""
+        return _extent(self.vertices)
 
     @cached_property
     def area(self) -> float:
@@ -160,6 +159,20 @@ class PointLocation(enum.Enum):
     EXTERIOR = "exterior"
 
 
+def _merge_close(pts: Iterable[Point2], sep_tol: float) -> list[Point2]:
+    """pts without each point within sep_tol of the one kept before it,
+    cyclically (the last is also merged into the first)."""
+    merged: list[Point2] = []
+    for p in pts:
+        if not merged or math.hypot(p.x - merged[-1].x, p.y - merged[-1].y) > sep_tol:
+            merged.append(p)
+    while len(merged) >= 2 and math.hypot(
+        merged[0].x - merged[-1].x, merged[0].y - merged[-1].y
+    ) <= sep_tol:
+        merged.pop()
+    return merged
+
+
 def normalize_polygon(raw: Sequence[Point2 | tuple[float, float]]) -> ConvexPolygon:
     """Canonicalize a vertex list into a ConvexPolygon.
 
@@ -171,9 +184,6 @@ def normalize_polygon(raw: Sequence[Point2 | tuple[float, float]]) -> ConvexPoly
     if len(pts) < 3:
         raise Degenerate(f"need at least 3 vertices, got {len(pts)}")
 
-    scale = max(max(abs(p.x), abs(p.y)) for p in pts)
-    sep_tol = EPS_GEOM * scale
-
     # Counterclockwise orientation from the signed area of the cycle.
     area2 = 0.0
     for i, a in enumerate(pts):
@@ -182,16 +192,7 @@ def normalize_polygon(raw: Sequence[Point2 | tuple[float, float]]) -> ConvexPoly
     if area2 < 0.0:
         pts.reverse()
 
-    # Merge consecutive duplicates (cyclically).
-    merged: list[Point2] = []
-    for p in pts:
-        if merged and math.hypot(p.x - merged[-1].x, p.y - merged[-1].y) <= sep_tol:
-            continue
-        merged.append(p)
-    while len(merged) >= 2 and math.hypot(
-        merged[0].x - merged[-1].x, merged[0].y - merged[-1].y
-    ) <= sep_tol:
-        merged.pop()
+    merged = _merge_close(pts, EPS_GEOM * _extent(pts))
 
     # Drop collinear vertices until stable.
     changed = True
@@ -252,7 +253,7 @@ def point_location(omega: ConvexPolygon, p: Point2) -> PointLocation:
     px, py = float(p[0]), float(p[1])
     if not (math.isfinite(px) and math.isfinite(py)):
         return PointLocation.EXTERIOR
-    scale = max(omega.scale, abs(px), abs(py))
+    scale = omega.scale
     verts = omega.vertices
     n = len(verts)
     on_edge = False
@@ -284,7 +285,7 @@ def _require_direction(direction: Point2 | tuple[float, float]) -> tuple[float, 
 
 
 def _coincident(omega: ConvexPolygon, p: Point2, q: Point2) -> bool:
-    return math.hypot(p[0] - q[0], p[1] - q[1]) <= EPS_GEOM * omega.diameter
+    return math.hypot(p[0] - q[0], p[1] - q[1]) <= EPS_GEOM * omega.scale
 
 
 class RayHit(NamedTuple):
@@ -385,7 +386,9 @@ def clip_halfplane(
     """Keep the part of a convex chain on the left of directed line a->b.
 
     tol is an absolute cross-product slack: points within the band count as
-    inside, so tangential intersections survive as degenerate chains.
+    inside, so tangential intersections survive as degenerate chains.  An
+    edge is cut where it crosses the line itself; one that only reaches into
+    the band is not cut, since its crossing would lie beyond its ends.
     """
     if not pts:
         return pts
@@ -397,13 +400,13 @@ def clip_halfplane(
     for cur in pts:
         d_cur = ex * (cur[1] - ay) - ey * (cur[0] - ax)
         if d_cur >= -tol:
-            if d_prev < -tol:
+            if d_prev < -tol and d_cur >= 0.0:
                 t = d_prev / (d_prev - d_cur)
                 out.append(
                     Point2(prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1]))
                 )
             out.append(cur)
-        elif d_prev >= -tol:
+        elif d_prev >= 0.0:
             t = d_prev / (d_prev - d_cur)
             out.append(
                 Point2(prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1]))
@@ -427,16 +430,8 @@ def clip_by_polygon(
 
 def classify_region(pts: Sequence[Point2], scale: float) -> ClipResult:
     """Classify a clipped convex chain by dimension."""
-    sep_tol = EPS_GEOM * max(scale, 1e-300)
-    deduped: list[Point2] = []
-    for p in pts:
-        if deduped and math.hypot(p.x - deduped[-1].x, p.y - deduped[-1].y) <= sep_tol:
-            continue
-        deduped.append(p)
-    while len(deduped) >= 2 and math.hypot(
-        deduped[0].x - deduped[-1].x, deduped[0].y - deduped[-1].y
-    ) <= sep_tol:
-        deduped.pop()
+    sep_tol = EPS_GEOM * scale
+    deduped = _merge_close(pts, sep_tol)
 
     if not deduped:
         return ClipResult.empty()

@@ -24,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .balls import (
     MetricBall,
@@ -88,8 +88,6 @@ class MebInstance:
     points: tuple[Point2, ...]
     kind: MetricKind
     seed: int = 0
-    eps_geom: float = EPS_GEOM
-    eps_dist: float = EPS_DIST
     eps_radius: float = EPS_RADIUS
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -115,7 +113,7 @@ def make_instance(
     """
     if not (math.isfinite(eps_radius) and eps_radius > 0.0):
         raise ValueError(f"eps_radius must be finite and > 0, got {eps_radius}")
-    tol = EPS_GEOM * omega.diameter
+    tol = EPS_GEOM * omega.scale
     grid: dict[tuple[int, int], list[Point2]] = {}
     kept: list[Point2] = []
     for raw in points:
@@ -134,7 +132,7 @@ def make_instance(
         kept.append(p)
     if not kept:
         raise EmptyInstance("instance needs at least one interior point")
-    return MebInstance(omega, tuple(kept), kind, seed, EPS_GEOM, EPS_DIST, eps_radius)
+    return MebInstance(omega, tuple(kept), kind, seed, eps_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +166,29 @@ def _center_constraints(
     ]
 
 
+def _inset(omega: ConvexPolygon, delta: float) -> list[Point2]:
+    """omega with every edge moved inward by delta (small against the edges)."""
+    normals = []
+    for a, b in omega.edges():
+        length = math.hypot(b.x - a.x, b.y - a.y)
+        normals.append(((a.y - b.y) / length, (b.x - a.x) / length))  # inward: CCW
+    out = []
+    for v, (ax, ay), (bx, by) in zip(omega.vertices, normals[-1:] + normals, normals):
+        k = delta / (1.0 + ax * bx + ay * by)
+        out.append(Point2(v.x + k * (ax + bx), v.y + k * (ay + by)))
+    return out
+
+
 def _feasible_chain(
     instance: MebInstance, pts: Sequence[Point2], r: float
 ) -> list[Point2]:
     omega = instance.omega
     scale = omega.scale
     tol = SOLVER_CLIP_EPS * scale * scale
-    region = list(omega.vertices)
+    # Only Funk's constraints, unclipped reverse homothets, reach the
+    # boundary: start two bands inside it so the center is interior.
+    funk = instance.kind is MetricKind.FUNK
+    region = _inset(omega, 2.0 * EPS_GEOM * scale) if funk else list(omega.vertices)
     for x in pts:
         for poly in _center_constraints(instance, x, r):
             region = clip_by_polygon(region, poly, tol)
@@ -199,23 +213,6 @@ def feasible_center_set(instance: MebInstance, r: float) -> ClipResult:
 # Bisection solver (reference oracle, valid for all four metrics)
 # ---------------------------------------------------------------------------
 
-def _bisection_lower_bound(instance: MebInstance, pts: Sequence[Point2]) -> float:
-    if instance.kind is not MetricKind.HILBERT:
-        return 0.0
-    omega = instance.omega
-    if len(pts) > 256:
-        # Pairwise scan is quadratic; fall back to the anchored bound, which
-        # is still a valid lower bound for a symmetric metric.
-        return max(_distance(omega, MetricKind.HILBERT, pts[0], q) for q in pts[1:]) / 2.0
-    best = 0.0
-    for i, p in enumerate(pts):
-        for q in pts[i + 1:]:
-            d = _distance(omega, MetricKind.HILBERT, p, q)
-            if d > best:
-                best = d
-    return best / 2.0
-
-
 def _solve_bisection(
     instance: MebInstance,
     pts: Sequence[Point2],
@@ -226,9 +223,11 @@ def _solve_bisection(
         return ObjectiveValue(0.0, pts[0])
     omega, kind = instance.omega, instance.kind
     x0 = pts[0]
-    r_hi = max(_distance(omega, kind, x0, x) for x in pts[1:]) + 1.0
+    reach = max(_distance(omega, kind, x0, x) for x in pts[1:])
+    r_hi = reach + 1.0
     if r_lo is None:
-        r_lo = _bisection_lower_bound(instance, pts)
+        # A Hilbert ball holding x0 and x has radius >= d(x0, x) / 2.
+        r_lo = reach / 2.0 if kind is MetricKind.HILBERT else 0.0
     iters = 0
     while r_hi - r_lo > instance.eps_radius and iters < MAX_BISECTION_ITERATIONS:
         mid = 0.5 * (r_lo + r_hi)
@@ -274,31 +273,35 @@ def two_point_center(instance: MebInstance, p: Point2, q: Point2) -> ObjectiveVa
     if _coincident(omega, p, q):
         raise CoincidentPoints("two_point_center needs distinct points")
     r_star = _distance(omega, MetricKind.HILBERT, p, q) / 2.0
-    if r_star <= instance.eps_dist:
+    if r_star <= EPS_DIST:
         # Balls this small are below distance tolerance; any point between
-        # the pair supports both within eps_dist.
+        # the pair supports both within EPS_DIST.
         return ObjectiveValue(r_star, Point2(0.5 * (p.x + q.x), 0.5 * (p.y + q.y)))
     frames_p = _cached_half_spokes(instance, p)
     frames_q = _cached_half_spokes(instance, q)
     scale = omega.scale
     tol = SOLVER_CLIP_EPS * scale * scale
-    chain: list[Point2] = []
-    # The two closed balls touch along a segment at r = d/2; if arithmetic
-    # jitter separates them, inflate by at most 1e-10 relative (well inside
-    # the support tolerance) until the intersection reappears.
-    for bump in (1.0, 1.0 + 1e-12, 1.0 + 1e-10):
-        r_eval = r_star * bump
-        chain = clip_by_polygon(
-            hilbert_ball_points(frames_p, p, r_eval),
-            hilbert_ball_points(frames_q, q, r_eval),
-            tol,
-        )
-        if chain:
-            break
+    # The two closed balls touch along a segment at r = d/2.
+    chain = _tangent_chain(
+        r_star,
+        lambda r: clip_by_polygon(
+            hilbert_ball_points(frames_p, p, r), hilbert_ball_points(frames_q, q, r), tol
+        ),
+    )
     if not chain:
         raise NoFeasibleBasis("two-point balls failed to intersect at r = d/2")
     center = lexicographic_min(classify_region(chain, scale))
     return ObjectiveValue(r_star, center)
+
+
+def _tangent_chain(r: float, clip: Callable[[float], list[Point2]]) -> list[Point2]:
+    """The first nonempty clip(r * bump), inflating r by at most 1e-10 relative
+    (well inside the support tolerance) when rounding splits tangent regions."""
+    for bump in (1.0, 1.0 + 1e-12, 1.0 + 1e-10):
+        chain = clip(r * bump)
+        if chain:
+            return chain
+    return []
 
 
 def _contains_value(
@@ -306,7 +309,7 @@ def _contains_value(
 ) -> bool:
     return (
         _distance(instance.omega, instance.kind, value.center, x)
-        <= value.radius + instance.eps_dist
+        <= value.radius + EPS_DIST
     )
 
 
@@ -339,12 +342,10 @@ def _three_point_core(
                 best = (v, (i, j))
     if best is not None:
         return best
-    scale = instance.omega.scale
-    for bump in (1.0, 1.0 + 1e-12, 1.0 + 1e-10):
-        chain = _feasible_chain(instance, pts, r_max * bump)
-        if chain:
-            center = lexicographic_min(classify_region(chain, scale))
-            return (ObjectiveValue(r_max, center), (0, 1, 2))
+    chain = _tangent_chain(r_max, lambda r: _feasible_chain(instance, pts, r))
+    if chain:
+        center = lexicographic_min(classify_region(chain, instance.omega.scale))
+        return (ObjectiveValue(r_max, center), (0, 1, 2))
     local = stats if stats is not None else SolveStats()
     return (_solve_bisection(instance, pts, local, r_lo=r_max), (0, 1, 2))
 

@@ -159,6 +159,23 @@ class TestMebCommand:
         assert doc["basis"] == [0, 1]
         assert doc["stats"]["violation_tests"] >= 1
 
+    def test_translated_document(self, tmp_path, capsys):
+        # The unit square and three points moved by (100, 100): the solver
+        # used to find no covering support there and exit 3.
+        t = 100.0
+        shift = lambda pts: [[x + t, y + t] for x, y in pts]  # noqa: E731
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({
+            "polygon": shift(SQUARE_DOC["polygon"]),
+            "points": shift(SQUARE_DOC["points"] + [[0.5, 0.9]]),
+            "metric": "hilbert",
+        }))
+        code, out, _ = run_cli(capsys, "meb", "--input", str(path))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["basis"] == [0, 1, 2]
+        assert doc["center"] == pytest.approx([0.5 + t, 0.717624304 + t], abs=1e-9)
+
     def test_single_point(self, tmp_path, capsys):
         path = tmp_path / "one.json"
         path.write_text(

@@ -23,6 +23,7 @@ from hilbert_geometry import (
     point_location,
     ray_boundary_intersection,
 )
+from hilbert_geometry.geometry import clip_halfplane
 from hilbert_geometry.sampling import random_convex_polygon, random_interior_point
 
 from conftest import UNIT_SQUARE, seeded
@@ -30,6 +31,11 @@ from conftest import UNIT_SQUARE, seeded
 
 def P(x, y):
     return Point2(x, y)
+
+
+def _magnitude(poly):
+    """Largest absolute vertex coordinate: the rounding unit of a result."""
+    return max(max(abs(v.x), abs(v.y)) for v in poly.vertices)
 
 
 class TestOrientation:
@@ -130,7 +136,7 @@ class TestRayBoundaryIntersection:
         hit = ray_boundary_intersection(omega, p, d)
         assert point_location(omega, hit.point) is PointLocation.BOUNDARY
         cross = d[0] * (hit.point.y - p.y) - d[1] * (hit.point.x - p.x)
-        assert abs(cross) <= 1e-9 * max(omega.scale, 1.0)
+        assert abs(cross) <= 1e-9 * max(_magnitude(omega), 1.0)
         assert hit.distance > 0
 
 
@@ -177,6 +183,16 @@ def _assert_same_region(a: ClipResult, b: ClipResult, tol=1e-9):
         assert math.hypot(u.x - v.x, u.y - v.y) <= tol
 
 
+class TestClipHalfplane:
+    def test_edge_reaching_only_into_the_band_is_not_extended(self):
+        # The bottom edge runs from below the band into it, never crossing
+        # y = 0; its crossing with that line lies at x = 1.5, outside the
+        # chain, and must not be added.
+        chain = [P(0, -0.0015), P(1, -0.0005), P(1, 1), P(0, 1)]
+        out = clip_halfplane(chain, P(0, 0), P(1, 0), 1e-3)
+        assert out == [P(0, 0), P(1, -0.0005), P(1, 1), P(0, 1)]
+
+
 class TestClipConvex:
     def test_overlapping_squares(self, unit_square):
         shifted = normalize_polygon([(0.5, 0), (1.5, 0), (1.5, 1), (0.5, 1)])
@@ -210,7 +226,7 @@ class TestClipConvex:
         a = random_convex_polygon(3 + seed % 7, rng)
         b = random_convex_polygon(3 + (seed + 3) % 7, rng)
         ab, ba = clip_convex(a, b), clip_convex(b, a)
-        _assert_same_region(ab, ba, tol=1e-9 * max(a.scale, b.scale, 1.0))
+        _assert_same_region(ab, ba, tol=1e-9 * max(_magnitude(a), _magnitude(b), 1.0))
         for pt in ab.corner_points():
             assert point_location(a, pt) is not PointLocation.EXTERIOR
             assert point_location(b, pt) is not PointLocation.EXTERIOR

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from hilbert_geometry import (
+    EPS_GEOM,
     Basis,
     CoincidentPoints,
     EmptyInstance,
@@ -10,6 +11,7 @@ from hilbert_geometry import (
     NotInterior,
     ObjectiveValue,
     Point2,
+    PointLocation,
     RegionKind,
     basis_computation,
     distance,
@@ -20,6 +22,7 @@ from hilbert_geometry import (
     min_ball_bisection,
     normalize_polygon,
     objective_f,
+    point_location,
     three_point_value,
     two_point_center,
     violation_test,
@@ -433,3 +436,30 @@ class TestWeakMetricMeb:
         if result.value.radius > 10 * EPS_RADIUS:
             shrunk = feasible_center_set(inst, result.value.radius - 10 * EPS_RADIUS)
             assert shrunk.is_empty
+
+    @staticmethod
+    def _assert_optimal_interior(inst, result):
+        # ball() inside min_ball_bisection already required an interior center.
+        assert point_location(inst.omega, result.value.center) is PointLocation.INTERIOR
+        for x in inst.points:
+            assert distance(inst.omega, inst.kind, result.value.center, x) <= (
+                result.value.radius + EPS_DIST
+            )
+        assert feasible_center_set(inst, result.value.radius - 10 * EPS_RADIUS).is_empty
+
+    def test_funk_center_stays_off_the_boundary(self):
+        # Funk's center constraints, unclipped reverse homothets, reach the
+        # boundary; here the center used to land in the boundary band and
+        # realizing the ball raised NotInterior.
+        inst = random_instance(6, 30, MetricKind.FUNK, 77)
+        self._assert_optimal_interior(inst, min_ball_bisection(inst))
+
+    def test_funk_point_between_the_band_and_the_inset(self):
+        # A point 1.5 boundary bands inside: interior, but outside the
+        # two-band inset that Funk centers start from.  The center used to
+        # land in the band here too.
+        band = EPS_GEOM * SQUARE.scale
+        pts = [(0.3, 1.5 * band), (0.6, 0.7), (0.2, 0.4)]
+        inst = make_instance(SQUARE, pts, MetricKind.FUNK)
+        assert len(inst.points) == 3
+        self._assert_optimal_interior(inst, min_ball_bisection(inst))

@@ -203,7 +203,7 @@ class TestPointAtDistance:
         # offset point inside the boundary rejection band.
         hit = ray_boundary_intersection(unit_square, CENTER, direction)
         norm = math.hypot(*direction)
-        u = hit.distance - 1e-9 * unit_square.diameter
+        u = hit.distance - 1e-9 * math.sqrt(2.0)  # 1e-9 * the square's diagonal
         q = P(
             CENTER.x + u * direction[0] / norm,
             CENTER.y + u * direction[1] / norm,
