@@ -22,10 +22,8 @@ from dataclasses import dataclass
 
 from .errors import Degenerate
 from .geometry import (
-    ClipResult,
     ConvexPolygon,
     Point2,
-    RegionKind,
     _ray,
     _require_interior,
     clip_convex,
@@ -117,19 +115,13 @@ def reverse_funk_ball_points(omega: ConvexPolygon, p: Point2, r: float) -> list[
     return [Point2(px + ratio * (px - v.x), py + ratio * (py - v.y)) for v in omega.vertices]
 
 
-def _polygon_or_none(region: ClipResult) -> ConvexPolygon | None:
-    if region.kind is RegionKind.POLYGON:
-        return region.polygon
-    return None
-
-
 def _funk_shape(omega: ConvexPolygon, p: Point2, r: float) -> ConvexPolygon:
     return ConvexPolygon(tuple(funk_ball_points(omega, p, r)))
 
 
 def _reverse_funk_shape(omega: ConvexPolygon, p: Point2, r: float) -> ConvexPolygon | None:
     homothet = ConvexPolygon(tuple(reverse_funk_ball_points(omega, p, r)))
-    return _polygon_or_none(clip_convex(homothet, omega))
+    return clip_convex(homothet, omega).polygon
 
 
 def _hilbert_shape(omega: ConvexPolygon, p: Point2, r: float) -> ConvexPolygon | None:
@@ -144,7 +136,7 @@ def _thompson_shape(omega: ConvexPolygon, p: Point2, r: float) -> ConvexPolygon 
     rev = _reverse_funk_shape(omega, p, r)
     if rev is None:
         return None
-    return _polygon_or_none(clip_convex(_funk_shape(omega, p, r), rev))
+    return clip_convex(_funk_shape(omega, p, r), rev).polygon
 
 
 _SHAPES = {

@@ -176,6 +176,11 @@ def result_document(result: MebResult, solver: str) -> dict:
     }
 
 
+def _write_svg(path: str, svg: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(svg + "\n")
+
+
 def _cmd_distance(args: argparse.Namespace) -> int:
     doc = load_document(args.input)
     omega, kind = _domain_only(doc, args)
@@ -208,9 +213,7 @@ def _cmd_ball(args: argparse.Namespace) -> int:
                 (b.center, Point2(b.center.x + d * ux, b.center.y + d * uy))
                 for ux, uy, d, _ in half_spokes(omega, b.center)
             )
-        svg = render_scene(omega, points=(b.center,), balls=(b,), spokes=spoke_lines)
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg + "\n")
+        _write_svg(args.svg, render_scene(omega, (b.center,), (b,), spoke_lines))
     return 0
 
 
@@ -225,9 +228,7 @@ def _cmd_meb(args: argparse.Namespace) -> int:
     result = lp_type_solve(instance) if solver == "lp_type" else min_ball_bisection(instance)
     _emit(result_document(result, solver))
     if args.svg:
-        svg = render_scene(instance.omega, points=instance.points, balls=(result.ball,))
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg + "\n")
+        _write_svg(args.svg, render_scene(instance.omega, instance.points, (result.ball,)))
     return 0
 
 

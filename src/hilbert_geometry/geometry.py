@@ -463,8 +463,10 @@ def clip_convex(a: ConvexPolygon, b: ConvexPolygon) -> ClipResult:
 
 
 def lexicographic_min(region: ClipResult) -> Point2:
-    """The (x, then y)-smallest point of a nonempty convex region."""
+    """The (x, then y)-smallest point of a nonempty convex region; x values
+    within EPS_GEOM of its extent tie, so a vertical edge gives its lower end."""
     pts = region.corner_points()
     if not pts:
         raise EmptyRegion("lexicographic_min of empty region")
-    return min(pts)
+    left = min(p.x for p in pts) + EPS_GEOM * _extent(pts)
+    return min((p for p in pts if p.x <= left), key=lambda p: (p.y, p.x))

@@ -40,11 +40,13 @@ from .geometry import (
     ClipResult,
     ConvexPolygon,
     Point2,
+    PointLocation,
     _coincident,
     _require_interior,
     classify_region,
     clip_by_polygon,
     lexicographic_min,
+    point_location,
 )
 from .metrics import EPS_DIST, MetricKind, _check_radius, _distance
 
@@ -119,14 +121,9 @@ def make_instance(
     for raw in points:
         p = _require_interior(omega, raw)
         cx, cy = int(p.x // tol), int(p.y // tol)
-        duplicate = False
-        for nx in (cx - 1, cx, cx + 1):
-            for ny in (cy - 1, cy, cy + 1):
-                for q in grid.get((nx, ny), ()):
-                    if math.hypot(p.x - q.x, p.y - q.y) <= tol:
-                        duplicate = True
-                        break
-        if duplicate:
+        near = (q for nx in (cx - 1, cx, cx + 1) for ny in (cy - 1, cy, cy + 1)
+                for q in grid.get((nx, ny), ()))
+        if any(math.hypot(p.x - q.x, p.y - q.y) <= tol for q in near):
             continue
         grid.setdefault((cx, cy), []).append(p)
         kept.append(p)
@@ -185,10 +182,7 @@ def _feasible_chain(
     omega = instance.omega
     scale = omega.scale
     tol = SOLVER_CLIP_EPS * scale * scale
-    # Only Funk's constraints, unclipped reverse homothets, reach the
-    # boundary: start two bands inside it so the center is interior.
-    funk = instance.kind is MetricKind.FUNK
-    region = _inset(omega, 2.0 * EPS_GEOM * scale) if funk else list(omega.vertices)
+    region = list(omega.vertices)
     for x in pts:
         for poly in _center_constraints(instance, x, r):
             region = clip_by_polygon(region, poly, tol)
@@ -213,6 +207,28 @@ def feasible_center_set(instance: MebInstance, r: float) -> ClipResult:
 # Bisection solver (reference oracle, valid for all four metrics)
 # ---------------------------------------------------------------------------
 
+def _least_radius(
+    region: Callable[[float], list[Point2]],
+    r_lo: float,
+    r_hi: float,
+    instance: MebInstance,
+    stats: SolveStats,
+) -> tuple[float, list[Point2]]:
+    """Bisect (r_lo, r_hi] to within eps_radius for the least r with a
+    nonempty region(r); returns r and region(r), empty if region(r_hi) is."""
+    chain, iters = region(r_hi), 0
+    while chain and r_hi - r_lo > instance.eps_radius and iters < MAX_BISECTION_ITERATIONS:
+        mid = 0.5 * (r_lo + r_hi)
+        iters += 1
+        mid_chain = region(mid)
+        if mid_chain:
+            r_hi, chain = mid, mid_chain
+        else:
+            r_lo = mid
+    stats.bisection_iterations += iters
+    return r_hi, chain
+
+
 def _solve_bisection(
     instance: MebInstance,
     pts: Sequence[Point2],
@@ -224,30 +240,40 @@ def _solve_bisection(
     omega, kind = instance.omega, instance.kind
     x0 = pts[0]
     reach = max(_distance(omega, kind, x0, x) for x in pts[1:])
-    r_hi = reach + 1.0
     if r_lo is None:
         # A Hilbert ball holding x0 and x has radius >= d(x0, x) / 2.
         r_lo = reach / 2.0 if kind is MetricKind.HILBERT else 0.0
-    iters = 0
-    while r_hi - r_lo > instance.eps_radius and iters < MAX_BISECTION_ITERATIONS:
-        mid = 0.5 * (r_lo + r_hi)
-        iters += 1
-        if _feasible_chain(instance, pts, mid):
-            r_hi = mid
-        else:
-            r_lo = mid
-    stats.bisection_iterations += iters
-    chain = _feasible_chain(instance, pts, r_hi)
+    r, chain = _least_radius(
+        lambda s: _feasible_chain(instance, pts, s), r_lo, reach + 1.0, instance, stats
+    )
     if not chain:
         raise NoFeasibleBasis("bisection terminated on an empty center region")
     center = lexicographic_min(classify_region(chain, omega.scale))
-    return ObjectiveValue(r_hi, center)
+    if kind is MetricKind.FUNK and point_location(omega, center) is not PointLocation.INTERIOR:
+        # Only Funk's constraints, unclipped reverse homothets, reach the
+        # boundary, and the optimum may lie on it.  Move the center two bands
+        # inside if EPS_DIST more radius allows; if not, ball() rejects it.
+        inset = _inset(omega, 2.0 * EPS_GEOM * omega.scale)
+        r_in, inner = _least_radius(
+            lambda s: clip_by_polygon(_feasible_chain(instance, pts, s), inset, 0.0),
+            r,
+            r + EPS_DIST,
+            instance,
+            stats,
+        )
+        if inner:
+            r, center = r_in, lexicographic_min(classify_region(inner, omega.scale))
+    return ObjectiveValue(r, center)
 
 
 def min_ball_bisection(instance: MebInstance) -> MebResult:
     stats = SolveStats()
     value = _solve_bisection(instance, instance.points, stats)
     realized = ball(instance.omega, instance.kind, value.center, value.radius)
+    # Near the boundary a distance can move by far more than EPS_DIST within
+    # the clip band: fail rather than return a ball that misses a point.
+    if not all(_contains_value(instance, value, x) for x in instance.points):
+        raise NoFeasibleBasis("bisection center leaves an instance point outside its ball")
     return MebResult(value, None, realized, stats)
 
 

@@ -23,15 +23,9 @@ class _Mapper:
     """Fit the domain bounding box into the viewport, y-axis flipped."""
 
     def __init__(self, omega: ConvexPolygon):
-        xs = [v.x for v in omega.vertices]
-        ys = [v.y for v in omega.vertices]
-        min_x, max_x = min(xs), max(xs)
-        min_y, max_y = min(ys), max(ys)
-        span = max(max_x - min_x, max_y - min_y) or 1.0
-        usable = VIEWPORT * (1.0 - 2.0 * MARGIN_FRACTION)
-        self.scale = usable / span
-        self.min_x = min_x
-        self.max_y = max_y
+        self.scale = VIEWPORT * (1.0 - 2.0 * MARGIN_FRACTION) / (omega.scale or 1.0)
+        self.min_x = min(v.x for v in omega.vertices)
+        self.max_y = max(v.y for v in omega.vertices)
         self.margin = VIEWPORT * MARGIN_FRACTION
 
     def __call__(self, p: Point2) -> tuple[float, float]:

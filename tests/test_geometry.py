@@ -271,6 +271,15 @@ class TestLexicographicMin:
     def test_point(self):
         assert lexicographic_min(ClipResult.of_point(P(0.3, 0.7))) == P(0.3, 0.7)
 
+    def test_vertical_segment_ends_differing_by_rounding(self):
+        # Both ends have x = 0.45163197005819375 up to rounding; the lower
+        # end is the pick whichever one the rounding makes smaller.
+        low = P(0.4516319700581938, 0.4442642656266876)
+        high = P(0.4516319700581937, 0.6246276616667079)
+        assert lexicographic_min(ClipResult.of_segment(low, high)) == low
+        low, high = P(high.x, low.y), P(low.x, high.y)
+        assert lexicographic_min(ClipResult.of_segment(low, high)) == low
+
     def test_empty_raises(self):
         with pytest.raises(EmptyRegion):
             lexicographic_min(ClipResult.empty())

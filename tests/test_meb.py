@@ -8,6 +8,7 @@ from hilbert_geometry import (
     CoincidentPoints,
     EmptyInstance,
     MetricKind,
+    NoFeasibleBasis,
     NotInterior,
     ObjectiveValue,
     Point2,
@@ -456,10 +457,45 @@ class TestWeakMetricMeb:
 
     def test_funk_point_between_the_band_and_the_inset(self):
         # A point 1.5 boundary bands inside: interior, but outside the
-        # two-band inset that Funk centers start from.  The center used to
-        # land in the band here too.
+        # two-band inset that a boundary Funk center is moved into.
         band = EPS_GEOM * SQUARE.scale
         pts = [(0.3, 1.5 * band), (0.6, 0.7), (0.2, 0.4)]
         inst = make_instance(SQUARE, pts, MetricKind.FUNK)
         assert len(inst.points) == 3
         self._assert_optimal_interior(inst, min_ball_bisection(inst))
+
+    def test_funk_optimum_beside_a_point_near_the_boundary(self):
+        # The optimal centers reach from the left edge to 1.875 bands inside
+        # it, next to a point 1.5 bands inside, where the Funk distance
+        # changes by ~1e-3 per 1e-12 of center motion.  Centers two bands
+        # inside need radius ln(4/3), and there the clip band admits centers
+        # 1.5e-3 outside it, so the search itself must not be inset.
+        inst = make_instance(SQUARE, [(1.5e-9, 0.3), (0.2, 0.2)], MetricKind.FUNK)
+        result = min_ball_bisection(inst)
+        assert result.value.radius == pytest.approx(math.log(1.25), abs=EPS_DIST)
+        self._assert_optimal_interior(inst, result)
+
+    def test_center_that_misses_a_point_is_not_returned(self):
+        # The optimum sits at a vertex and the second point lies a few bands
+        # inside an edge through it, so the Funk distance moves by ~2e-4
+        # across the clip band; the bisection's pick misses that point.
+        omega = normalize_polygon(
+            [
+                (-1.3312937022587152, 0.13825335702463296),
+                (0.7595813251324528, -1.1573445158440554),
+                (0.48653316182745765, 0.32129627128518357),
+            ]
+        )
+        pts = [
+            (0.19377806721946342, 0.2918178030820459),
+            (0.5014987080127039, 0.24025315897569371),
+        ]
+        inst = make_instance(omega, pts, MetricKind.FUNK)
+        try:
+            result = min_ball_bisection(inst)
+        except NoFeasibleBasis:
+            return
+        for x in inst.points:
+            assert distance(omega, MetricKind.FUNK, result.value.center, x) <= (
+                result.value.radius + EPS_DIST
+            )
