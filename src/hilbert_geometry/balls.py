@@ -5,7 +5,8 @@ Construction recipes:
 * forward-Funk ball: homothet of the domain about the center with ratio
   1 - e^(-r); always inside the domain.
 * reverse-Funk ball: homothet of the point-reflected domain with ratio
-  e^r - 1, clipped to the domain (it can escape for large r).
+  e^r - 1, clipped to the domain; once the homothet covers the domain, the
+  ball is the domain itself.
 * Hilbert ball: convex hull of the points at distance r from the center in
   both directions along every spoke (chord through the center and a domain
   vertex).
@@ -24,10 +25,12 @@ from .errors import Degenerate
 from .geometry import (
     ConvexPolygon,
     Point2,
+    PointLocation,
     _ray,
     _require_interior,
     clip_convex,
     convex_hull,
+    point_location,
 )
 from .metrics import MetricKind, _check_radius, distance
 
@@ -93,11 +96,11 @@ def hilbert_ball_points(
     convex polygon even before collinear vertices are merged; solver hot
     paths clip against it directly without hulling.
     """
-    k = math.exp(2.0 * r)
+    t = math.exp(-2.0 * r)  # offset_at_distance's Hilbert form, inlined
     px, py = p.x, p.y
     pts = []
     for ux, uy, d_fwd, d_back in spoke_frames:
-        u = (k - 1.0) * d_back * d_fwd / (d_fwd + k * d_back)
+        u = (1.0 - t) * d_back * d_fwd / (d_fwd * t + d_back)
         pts.append(Point2(px + u * ux, py + u * uy))
     return pts
 
@@ -109,8 +112,11 @@ def funk_ball_points(omega: ConvexPolygon, p: Point2, r: float) -> list[Point2]:
 
 
 def reverse_funk_ball_points(omega: ConvexPolygon, p: Point2, r: float) -> list[Point2]:
+    return _reflected(omega, p, math.exp(r) - 1.0)
+
+
+def _reflected(omega: ConvexPolygon, p: Point2, ratio: float) -> list[Point2]:
     # Point reflection is a half-turn, so the vertex order stays CCW.
-    ratio = math.exp(r) - 1.0
     px, py = p[0], p[1]
     return [Point2(px + ratio * (px - v.x), py + ratio * (py - v.y)) for v in omega.vertices]
 
@@ -120,8 +126,14 @@ def _funk_shape(omega: ConvexPolygon, p: Point2, r: float) -> ConvexPolygon:
 
 
 def _reverse_funk_shape(omega: ConvexPolygon, p: Point2, r: float) -> ConvexPolygon | None:
+    # The homothet covers omega exactly when its inverse, ratio 1 / (e^r - 1),
+    # lies inside omega; testing that first keeps large r from overflowing.
+    inverse = _reflected(omega, p, math.exp(-r) / -math.expm1(-r))
+    if all(point_location(omega, v) is PointLocation.INTERIOR for v in inverse):
+        return omega
+    # Clip omega, not the homothet: its vertices and edges are the short ones.
     homothet = ConvexPolygon(tuple(reverse_funk_ball_points(omega, p, r)))
-    return clip_convex(homothet, omega).polygon
+    return clip_convex(omega, homothet).polygon
 
 
 def _hilbert_shape(omega: ConvexPolygon, p: Point2, r: float) -> ConvexPolygon | None:

@@ -1,6 +1,6 @@
 """Batch command-line interface.
 
-Subcommands: ``distance``, ``ball``, ``meb``, ``bench``.  Exit codes group
+Subcommands: ``distance``, ``ball``, ``meb``.  Exit codes group
 failures for harnesses: 0 ok, 2 document/parse errors (non-finite numbers
 included), 3 geometric precondition failures, 4 usage errors.  Every
 failure prints one line to stderr: ``error: <code>: <detail>``.
@@ -12,8 +12,6 @@ import argparse
 import json
 import math
 import sys
-import time
-from statistics import fmean
 from typing import Any, Sequence
 
 from .balls import ball as make_ball
@@ -29,7 +27,6 @@ from .meb import (
     min_ball_bisection,
 )
 from .metrics import MetricKind, distance
-from .sampling import random_instance
 from .svg import render_scene
 
 _METRIC_NAMES = {kind.value: kind for kind in MetricKind}
@@ -131,7 +128,11 @@ def build_instance(doc: dict, args: argparse.Namespace) -> MebInstance:
     tolerance = args.tolerance if args.tolerance is not None else doc.get("tolerance")
     if tolerance is None:
         tolerance = EPS_RADIUS
-    elif not isinstance(tolerance, (int, float)) or not 0 < tolerance <= sys.float_info.max:
+    elif (
+        not isinstance(tolerance, (int, float))
+        or isinstance(tolerance, bool)
+        or not 0 < tolerance <= sys.float_info.max
+    ):
         raise _parse_failure(f"tolerance must be a finite positive number, got {tolerance!r}")
     omega = normalize_polygon(polygon)
     return make_instance(omega, points, kind, seed=seed, eps_radius=float(tolerance))
@@ -232,56 +233,12 @@ def _cmd_meb(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_bench(
-    sizes: Sequence[int], sides: Sequence[int], trials: int, seed: int
-) -> list[tuple[int, int, float, float, float]]:
-    """One row per (n, m): mean violation tests, basis computations, seconds."""
-    rows = []
-    for n in sizes:
-        for m in sides:
-            vt, bc, secs = [], [], []
-            for trial in range(trials):
-                derived = ((seed * 31 + n) * 31 + m) * 31 + trial
-                instance = random_instance(m, n, MetricKind.HILBERT, derived)
-                start = time.perf_counter()
-                result = lp_type_solve(instance)
-                secs.append(time.perf_counter() - start)
-                vt.append(result.stats.violation_tests)
-                bc.append(result.stats.basis_computations)
-            rows.append((n, m, fmean(vt), fmean(bc), fmean(secs)))
-    return rows
-
-
-def _parse_int_list(text: str, flag: str, minimum: int) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part]
-    except ValueError:
-        raise _parse_failure(f"{flag} must be a comma-separated integer list") from None
-    if not values or any(v < minimum for v in values):
-        raise _parse_failure(f"{flag} needs integers >= {minimum}, got {text!r}")
-    return values
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    sizes = _parse_int_list(args.sizes, "--sizes", 1)
-    sides = _parse_int_list(args.sides, "--sides", 3)
-    if args.trials <= 0:
-        raise _parse_failure(f"--trials must be positive, got {args.trials}")
-    seed = args.seed if args.seed is not None else 0
-    rows = run_bench(sizes, sides, args.trials, seed)
-    sys.stdout.write("n,m,mean_violation_tests,mean_basis_computations,mean_wall_seconds\n")
-    for n, m, vt, bc, secs in rows:
-        sys.stdout.write(f"{n},{m},{vt:.2f},{bc:.2f},{secs:.6f}\n")
-    return 0
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hilbertgeo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p: _Parser, needs_input: bool = True) -> None:
-        if needs_input:
-            p.add_argument("--input", required=True, help="instance document (JSON)")
+    def common(p: _Parser) -> None:
+        p.add_argument("--input", required=True, help="instance document (JSON)")
         p.add_argument("--metric", choices=sorted(_METRIC_NAMES), default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--tolerance", type=float, default=None)
@@ -305,12 +262,6 @@ def _build_parser() -> _Parser:
     p_meb.add_argument("--svg", default=None, help="write an SVG rendering here")
     p_meb.set_defaults(func=_cmd_meb)
 
-    p_bench = sub.add_parser("bench", help="solver statistics over random instances")
-    p_bench.add_argument("--sizes", required=True, help="comma-separated point counts")
-    p_bench.add_argument("--sides", default="8", help="comma-separated polygon sizes")
-    p_bench.add_argument("--trials", type=int, default=5)
-    p_bench.add_argument("--seed", type=int, default=None)
-    p_bench.set_defaults(func=_cmd_bench)
     return parser
 
 

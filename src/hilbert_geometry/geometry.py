@@ -385,15 +385,16 @@ def clip_halfplane(
 ) -> list[Point2]:
     """Keep the part of a convex chain on the left of directed line a->b.
 
-    tol is an absolute cross-product slack: points within the band count as
-    inside, so tangential intersections survive as degenerate chains.  An
-    edge is cut where it crosses the line itself; one that only reaches into
-    the band is not cut, since its crossing would lie beyond its ends.
+    tol is a distance: points at most tol outside the line count as inside,
+    so tangential intersections survive as degenerate chains.  An edge is
+    cut where it crosses the line itself; one that only reaches into the
+    band is not cut, since its crossing would lie beyond its ends.
     """
     if not pts:
         return pts
     ax, ay = a[0], a[1]
     ex, ey = b[0] - ax, b[1] - ay
+    tol *= math.hypot(ex, ey)  # the cross product below is |e| * distance
     out: list[Point2] = []
     prev = pts[-1]
     d_prev = ex * (prev[1] - ay) - ey * (prev[0] - ax)
@@ -455,10 +456,13 @@ def classify_region(pts: Sequence[Point2], scale: float) -> ClipResult:
 
 
 def clip_convex(a: ConvexPolygon, b: ConvexPolygon) -> ClipResult:
-    """Intersection of two convex polygons, classified by dimension."""
-    scale = max(a.scale, b.scale)
-    tol = EPS_GEOM * scale * scale
-    pts = clip_by_polygon(list(a.vertices), b.vertices, tol)
+    """Intersection of two convex polygons, classified by dimension.
+
+    The intersection lies in both, so the smaller one sets the unit: a
+    polygon far larger than the other must not widen the band.
+    """
+    scale = min(a.scale, b.scale)
+    pts = clip_by_polygon(list(a.vertices), b.vertices, EPS_GEOM * scale)
     return classify_region(pts, scale)
 
 

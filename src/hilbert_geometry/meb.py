@@ -8,6 +8,12 @@ Two solvers share one objective:
 * ``min_ball_bisection`` (all four metrics): radius bisection against the
   feasible-center region, used as the reference oracle for the LP-type path.
 
+The LP-type path solves three-point bases with a strictly larger ball than
+any pair (case 3 of ``_three_point_core``) by bisecting only until it knows
+which three ball edges meet at the optimum, then finding the radius where
+those edges are concurrent as a sign-change root.  A root is used only once
+it is certified; otherwise the plain bisection result stands.
+
 The objective value is the pair (radius, center) under lexicographic order
 (radius, then center.x, then center.y), which makes the optimum unique even
 when many centers realize the minimum radius.
@@ -48,16 +54,20 @@ from .geometry import (
     lexicographic_min,
     point_location,
 )
-from .metrics import EPS_DIST, MetricKind, _check_radius, _distance
+from .metrics import EPS_DIST, MetricKind, _check_radius, _distance, offset_at_distance
 
 EPS_RADIUS = 1e-10
 MAX_BISECTION_ITERATIONS = 200
 
-# Clipping band for solver-internal intersections.  Much tighter than
-# EPS_GEOM: a wide band admits centers measurably outside a ball, and the
-# distance gradient can amplify that past the support tolerance.  Tangency
-# robustness comes from the radius escalation ladder instead.
+# Clipping band for solver-internal intersections, a distance in units of
+# the domain scale.  Much tighter than EPS_GEOM: a wide band admits centers
+# measurably outside a ball, and the distance gradient can amplify that past
+# the support tolerance.  Tangency robustness comes from the radius
+# escalation ladder instead.
 SOLVER_CLIP_EPS = 1e-12
+
+# A bisection hook: (region(r_hi), r_lo, r_hi) -> certified (r, region(r)) or None.
+Polish = Callable[[list[Point2], float, float], "tuple[float, list[Point2]] | None"]
 
 
 class ObjectiveValue(NamedTuple):
@@ -79,7 +89,8 @@ class Basis:
 class SolveStats:
     violation_tests: int = 0
     basis_computations: int = 0
-    bisection_iterations: int = 0
+    bisection_iterations: int = 0  # one per halving of a radius bracket
+    case3_fallbacks: int = 0  # case-3 triples left to plain bisection
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +192,7 @@ def _feasible_chain(
 ) -> list[Point2]:
     omega = instance.omega
     scale = omega.scale
-    tol = SOLVER_CLIP_EPS * scale * scale
+    tol = SOLVER_CLIP_EPS * scale
     region = list(omega.vertices)
     for x in pts:
         for poly in _center_constraints(instance, x, r):
@@ -213,15 +224,27 @@ def _least_radius(
     r_hi: float,
     instance: MebInstance,
     stats: SolveStats,
+    polish: Polish | None = None,
 ) -> tuple[float, list[Point2]]:
     """Bisect (r_lo, r_hi] to within eps_radius for the least r with a
-    nonempty region(r); returns r and region(r), empty if region(r_hi) is."""
-    chain, iters = region(r_hi), 0
+    nonempty region(r); returns r and region(r), empty if region(r_hi) is.
+
+    polish, if given, sees each new nonempty region(r_hi) with the bracket
+    and may return a certified (r, region(r)) that ends the search."""
+    chain, iters, fresh = region(r_hi), 0, True
     while chain and r_hi - r_lo > instance.eps_radius and iters < MAX_BISECTION_ITERATIONS:
+        if fresh and polish is not None:
+            solved = polish(chain, r_lo, r_hi)
+            if solved is not None:
+                r_hi, chain = solved
+                break
         mid = 0.5 * (r_lo + r_hi)
+        if not r_lo < mid < r_hi:
+            break  # eps_radius is below the float spacing at r_hi
         iters += 1
         mid_chain = region(mid)
-        if mid_chain:
+        fresh = bool(mid_chain)
+        if fresh:
             r_hi, chain = mid, mid_chain
         else:
             r_lo = mid
@@ -234,6 +257,7 @@ def _solve_bisection(
     pts: Sequence[Point2],
     stats: SolveStats,
     r_lo: float | None = None,
+    polish: Polish | None = None,
 ) -> ObjectiveValue:
     if len(pts) == 1:
         return ObjectiveValue(0.0, pts[0])
@@ -244,7 +268,7 @@ def _solve_bisection(
         # A Hilbert ball holding x0 and x has radius >= d(x0, x) / 2.
         r_lo = reach / 2.0 if kind is MetricKind.HILBERT else 0.0
     r, chain = _least_radius(
-        lambda s: _feasible_chain(instance, pts, s), r_lo, reach + 1.0, instance, stats
+        lambda s: _feasible_chain(instance, pts, s), r_lo, reach + 1.0, instance, stats, polish
     )
     if not chain:
         raise NoFeasibleBasis("bisection terminated on an empty center region")
@@ -306,7 +330,7 @@ def two_point_center(instance: MebInstance, p: Point2, q: Point2) -> ObjectiveVa
     frames_p = _cached_half_spokes(instance, p)
     frames_q = _cached_half_spokes(instance, q)
     scale = omega.scale
-    tol = SOLVER_CLIP_EPS * scale * scale
+    tol = SOLVER_CLIP_EPS * scale
     # The two closed balls touch along a segment at r = d/2.
     chain = _tangent_chain(
         r_star,
@@ -356,8 +380,11 @@ def _three_point_core(
        ties the pair's bitwise, only the center moves (support = all three).
        Evaluating this exactly instead of by bisection keeps the objective
        monotone under exact comparison;
-    3. otherwise all three points support a strictly larger ball, found by
-       bisection bracketed below by R.
+    3. otherwise all three points support a strictly larger ball.  Bisection
+       bracketed below by R runs only until the three ball edges meeting at
+       the optimum are known; their concurrency radius is then solved and
+       certified (``_ConcurrentEdges``).  If no root is certified, the
+       bisection result stands and ``case3_fallbacks`` counts it.
     """
     r_max = max(v.radius for v, _ in pair_values)
     best: tuple[ObjectiveValue, tuple[int, ...]] | None = None
@@ -373,7 +400,137 @@ def _three_point_core(
         center = lexicographic_min(classify_region(chain, instance.omega.scale))
         return (ObjectiveValue(r_max, center), (0, 1, 2))
     local = stats if stats is not None else SolveStats()
-    return (_solve_bisection(instance, pts, local, r_lo=r_max), (0, 1, 2))
+    edges = _ConcurrentEdges(instance, pts)
+    value = _solve_bisection(instance, pts, local, r_lo=r_max, polish=edges)
+    if not edges.solved:
+        local.case3_fallbacks += 1
+    return (value, (0, 1, 2))
+
+
+def _facing_edge(frames, p: Point2, c: Point2) -> int | None:
+    """Index i of the half-spoke sector [i, i+1) (CCW) that holds c - p: the
+    edge of every Hilbert ball about p that faces c joins spokes i and i+1."""
+    vx, vy = c.x - p.x, c.y - p.y
+    n = len(frames)
+    for i in range(n):
+        ax, ay = frames[i][0], frames[i][1]
+        bx, by = frames[(i + 1) % n][0], frames[(i + 1) % n][1]
+        if ax * vy - ay * vx >= 0.0 and vx * by - vy * bx > 0.0:
+            return i
+    return None
+
+
+def _sign_change_root(
+    f: Callable[[float], float], a: float, b: float, fa: float, fb: float
+) -> float:
+    """Illinois regula falsi on [a, b], where fa and fb differ in sign.
+
+    Returns the end of the final bracket on b's side, a float-precision
+    upper end of the root when f changes sign once going from a to b.
+    """
+    side = 0
+    for _ in range(MAX_BISECTION_ITERATIONS):
+        c = (a * fb - b * fa) / (fb - fa)
+        if not a < c < b:
+            c = 0.5 * (a + b)
+            if not a < c < b:
+                break
+        fc = f(c)
+        if fc == 0.0:
+            return c
+        if (fc < 0.0) == (fb < 0.0):
+            b, fb = c, fc
+            if side == 1:
+                fa *= 0.5
+            side = 1
+        else:
+            a, fa = c, fc
+            if side == -1:
+                fb *= 0.5
+            side = -1
+    return b
+
+
+class _ConcurrentEdges:
+    """Case-3 polish hook: the radius at which three Hilbert ball edges meet.
+
+    On each new nonempty region, the edge of each point's ball that faces
+    the region's vertex mean names a candidate triple.  Each edge joins the
+    sphere points p + u(r)*dir on two neighbouring half-spokes (u from
+    ``offset_at_distance``), so the triple is concurrent where the
+    determinant of the three edge lines vanishes.  Lines and center are
+    taken relative to the first point, so the solve is translation-invariant.
+    A root is accepted only if its center is interior, lies in the assumed
+    sector of every point, is within EPS_DIST of all three points, and no
+    center exists eps_radius below it.
+    """
+
+    def __init__(self, instance: MebInstance, pts: Sequence[Point2]):
+        self.instance = instance
+        self.pts = pts
+        self.frames = [_cached_half_spokes(instance, p) for p in pts]
+        self.tried: set[tuple[int | None, ...]] = set()  # triples already root-solved
+        self.solved = False
+
+    def __call__(
+        self, chain: list[Point2], r_lo: float, r_hi: float
+    ) -> tuple[float, list[Point2]] | None:
+        n = len(chain)
+        edges = self._edges(Point2(sum(q.x for q in chain) / n, sum(q.y for q in chain) / n))
+        if None in edges or edges in self.tried:
+            return None
+
+        def det(r: float) -> float:
+            (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = self._lines(edges, r)
+            return c1 * (a2 * b3 - a3 * b2) + c2 * (a3 * b1 - a1 * b3) + c3 * (a1 * b2 - a2 * b1)
+
+        f_lo, f_hi = det(r_lo), det(r_hi)
+        if not (f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo):
+            return None
+        self.tried.add(edges)
+        r = _sign_change_root(det, r_lo, r_hi, f_lo, f_hi)
+        # The three lines meet at one point; intersect the least parallel pair.
+        w, (a1, b1, c1), (a2, b2, c2) = max(
+            ((l1[0] * l2[1] - l2[0] * l1[1], l1, l2)
+             for l1, l2 in combinations(self._lines(edges, r), 2)),
+            key=lambda t: abs(t[0]),
+        )
+        if w == 0.0:
+            return None
+        ox, oy = self.pts[0]
+        center = Point2(ox + (b1 * c2 - b2 * c1) / w, oy + (a2 * c1 - a1 * c2) / w)
+        instance = self.instance
+        value = ObjectiveValue(r, center)
+        below = r - instance.eps_radius
+        if (
+            point_location(instance.omega, center) is not PointLocation.INTERIOR
+            or self._edges(center) != edges
+            or not all(_contains_value(instance, value, p) for p in self.pts)
+            or (below > r_lo and _feasible_chain(instance, self.pts, below))
+        ):
+            return None
+        self.solved = True
+        return r, [center]
+
+    def _edges(self, c: Point2) -> tuple[int | None, ...]:
+        return tuple(_facing_edge(f, p, c) for f, p in zip(self.frames, self.pts))
+
+    def _lines(self, edges: tuple[int, ...], r: float) -> list[tuple[float, float, float]]:
+        """Unit-normal lines a*x + b*y + c = 0 of the edges at radius r,
+        relative to the first point; each ball lies where a*x + b*y + c >= 0."""
+        ox, oy = self.pts[0]
+        out = []
+        for p, frames, i in zip(self.pts, self.frames, edges):
+            ends = []
+            for ux, uy, d_fwd, d_back in (frames[i], frames[(i + 1) % len(frames)]):
+                u = offset_at_distance(MetricKind.HILBERT, d_fwd, d_back, r)
+                ends.append((p.x - ox + u * ux, p.y - oy + u * uy))
+            (x1, y1), (x2, y2) = ends
+            a, b = y1 - y2, x2 - x1  # left normal of the CCW edge
+            norm = math.hypot(a, b)
+            a, b = a / norm, b / norm
+            out.append((a, b, -(a * x1 + b * y1)))
+        return out
 
 
 def three_point_value(

@@ -138,8 +138,8 @@ def offset_at_distance(kind: MetricKind, d_fwd: float, d_back: float, r: float) 
             )
         return u
     if kind is MetricKind.HILBERT:
-        k = math.exp(2.0 * r)
-        return (k - 1.0) * d_back * d_fwd / (d_fwd + k * d_back)
+        t = math.exp(-2.0 * r)  # e^(2r) would overflow past r = 354
+        return (1.0 - t) * d_back * d_fwd / (d_fwd * t + d_back)
     # Thompson: max(F, rF) == r at the smaller of the two single-metric offsets.
     u_funk = d_fwd * (1.0 - math.exp(-r))
     u_rev = d_back * (math.exp(r) - 1.0)

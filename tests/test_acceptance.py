@@ -263,8 +263,8 @@ def test_criterion_8_weak_metric_minimality():
 
 
 def test_criterion_9_empirical_linearity():
-    # The unfiltered move-to-front core over all points, on the instances
-    # run_bench([100, 1000, 10000], [8], trials=5, seed=0) builds, in each
+    # The unfiltered move-to-front core over all points, on five m = 8
+    # instances per n (seeds derived from n and the trial), in each
     # instance's seed order: lp_type_solve's hull prefilter must not be
     # what makes this pass.
     start = time.perf_counter()
@@ -272,7 +272,7 @@ def test_criterion_9_empirical_linearity():
     for n in (100, 1000, 10000):
         tests = []
         for trial in range(5):
-            derived = ((0 * 31 + n) * 31 + 8) * 31 + trial  # run_bench's seed, m = 8
+            derived = ((0 * 31 + n) * 31 + 8) * 31 + trial
             inst = random_instance(8, n, MetricKind.HILBERT, derived)
             tests.append(unfiltered_scan(inst)[1].violation_tests)
         per_point[n] = fmean(tests) / n

@@ -206,6 +206,23 @@ class TestBallDispatchAndContains:
         )
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("r", [20.5, 25.0, 352.0, 356.0, 800.0])
+    def test_large_radius_fills_the_domain(self, unit_square, kind, r):
+        # Every ball is the whole square here, up to the Funk inset
+        # e^-r * |v - p| <= 1.3e-9.  These radii once gave an escaped
+        # reverse-Funk homothet, a one-point Thompson ball, a 5-gon Hilbert
+        # ball, and OverflowError from e^(2r) or e^r.
+        shape = ball(unit_square, kind, P(0.3, 0.6), r).shape.vertices
+        corners = unit_square.vertices
+
+        def gap(u, pts):
+            return min(math.hypot(u.x - w.x, u.y - w.y) for w in pts)
+
+        assert len(shape) == 4
+        assert all(gap(v, corners) <= 2e-9 for v in shape)
+        assert all(gap(w, shape) <= 2e-9 for w in corners)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("seed", range(6))
     def test_membership_matches_distance(self, kind, seed):
         rng = seeded(500 + seed)

@@ -255,36 +255,15 @@ class TestProcessInvocation:
         assert json.loads(runs[0])["radius"] == pytest.approx(math.log(3) / 2, abs=1e-9)
 
 
-class TestBenchCommand:
-    def test_csv_shape(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "bench", "--sizes", "20,40", "--sides", "6", "--trials", "2", "--seed", "1"
-        )
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "n,m,mean_violation_tests,mean_basis_computations,mean_wall_seconds"
-        assert len(lines) == 3
-        first = lines[1].split(",")
-        assert first[0] == "20" and first[1] == "6"
-
-    def test_count_columns_deterministic(self, capsys):
-        runs = []
-        for _ in range(2):
-            code, out, _ = run_cli(
-                capsys, "bench", "--sizes", "25", "--sides", "5", "--trials", "2", "--seed", "3"
-            )
-            assert code == 0
-            row = out.strip().splitlines()[1].split(",")
-            runs.append(row[:4])  # all but the wall-time column
-        assert runs[0] == runs[1]
-
-    def test_bad_config_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "bench", "--sizes", "0", "--trials", "2")
-        assert code == 2
-
+class TestUsageErrors:
     def test_missing_subcommand_exits_4(self, capsys):
         code, _, err = run_cli(capsys)
         assert code == 4
+
+    def test_removed_bench_command_exits_4(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--sizes", "20")
+        assert (code, out) == (4, "")
+        assert err.startswith("error: usage: ")
 
 
 class TestNonFiniteInput:
@@ -323,6 +302,8 @@ class TestNonFiniteInput:
                 "points", [[0.25, 0.5], [0.75, 10**400]], "points[1]", id="points-huge-int"
             ),
             pytest.param("tolerance", 10**400, "tolerance", id="tolerance-huge-int"),
+            # bool is an int: true would otherwise be read as tolerance 1.0.
+            pytest.param("tolerance", True, "tolerance", id="tolerance-bool"),
         ],
     )
     def test_document_values(self, tmp_path, capsys, field, value, detail):
@@ -353,8 +334,3 @@ class TestNonFiniteInput:
         code, out, err = run_cli(capsys, "meb", "--input", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: parse: ") and "not valid JSON" in err
-
-    def test_bench_sides_below_3_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "bench", "--sizes", "5", "--sides", "2", "--trials", "1")
-        assert code == 2
-        assert err.startswith("error: parse: ") and "--sides" in err

@@ -28,7 +28,7 @@ from hilbert_geometry import (
     two_point_center,
     violation_test,
 )
-from hilbert_geometry.meb import EPS_RADIUS, _hull_candidates
+from hilbert_geometry.meb import EPS_RADIUS, MAX_BISECTION_ITERATIONS, _hull_candidates
 from hilbert_geometry.metrics import EPS_DIST
 from hilbert_geometry.sampling import random_instance
 
@@ -113,6 +113,16 @@ class TestMinBallBisection:
         inst = make_instance(unit_square, [(0.4, 0.4)] * 3, MetricKind.HILBERT)
         result = min_ball_bisection(inst)
         assert result.value == ObjectiveValue(0.0, P(0.4, 0.4))
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_tolerance_below_float_spacing_stops_early(self, kind):
+        # At eps_radius = 1e-20 the bracket reaches adjacent floats long
+        # before its width drops below the tolerance; the midpoint then no
+        # longer splits it and the search must stop there.
+        base = random_instance(16, 40, kind, seed=1)
+        inst = make_instance(base.omega, base.points, kind, seed=1, eps_radius=1e-20)
+        result = min_ball_bisection(inst)
+        assert result.stats.bisection_iterations < MAX_BISECTION_ITERATIONS
 
     @pytest.mark.parametrize("kind", list(MetricKind))
     @pytest.mark.parametrize("seed", range(5))
@@ -206,6 +216,23 @@ class TestThreePointValue:
         assert supported >= 2  # two-support or full three-support optimum
         for p in pts:
             assert hilbert_distance(SQUARE, value.center, p) <= value.radius + EPS_DIST
+
+    def test_larger_ball_is_a_certified_root(self):
+        # All three points support a ball larger than any pair's: the radius
+        # comes from the three concurrent ball edges after a few halvings,
+        # not from a full bisection, so the center is equidistant to rounding.
+        pts = [P(0.25, 0.5), P(0.75, 0.5), P(0.5, 0.9)]
+        inst = make_instance(SQUARE, pts, MetricKind.HILBERT)
+        result = lp_type_solve(inst)
+        assert result.basis.indices == (0, 1, 2)
+        assert result.stats.case3_fallbacks == 0
+        assert result.stats.bisection_iterations < 10
+        for p in pts:
+            assert hilbert_distance(SQUARE, result.value.center, p) == pytest.approx(
+                result.value.radius, abs=1e-12
+            )
+        assert result.value.center.x == pytest.approx(0.5, abs=1e-12)
+        assert feasible_center_set(inst, result.value.radius - EPS_RADIUS).is_empty
 
     @pytest.mark.parametrize("seed", range(10))
     def test_oracle_equivalence(self, seed):
@@ -350,6 +377,70 @@ PREFILTER_CASES = {
     "collinear_30": ([(0.1 + 0.8 * k / 29, 0.1 + 0.5 * k / 29) for k in range(30)], 2),
     **{f"edge_run_{trial}": (_edge_run(trial), trial) for trial in range(10)},
 }
+
+
+class TestClipBandIsADistance:
+    """Regressions from the ``lp-small`` benchmark workload (ellipse 12-gons).
+
+    Hilbert ball edges there can be 2e-6 long.  While the solver's clip band
+    bounded the cross product |edge| * distance instead of the distance, it
+    admitted centers 1e6 times farther outside such an edge than intended.
+    """
+
+    def test_short_ball_edge_admits_no_center_outside(self):
+        # Seed 95, round 711: the pair (0, 1) got a center 4.2e-7 past its
+        # second point, so no support covered all three points.
+        omega = normalize_polygon([
+            (-0.5836934041538298, -0.06381925511869291),
+            (-0.4170076246250262, -0.6004432790926716),
+            (0.023161570789410557, -0.9519680199179128),
+            (0.2421176479861316, -1.0271014267902119),
+            (0.8662154463206955, -0.9997770225035559),
+            (1.21951839465515, -0.7578369568144556),
+            (1.3779738878852215, -0.36715603298991273),
+            (1.2298621117080475, 0.14693077668793453),
+            (0.9600092575858861, 0.4169678341428047),
+            (0.4867665438899944, 0.6132955315370655),
+            (-0.006204848440336697, 0.5932424809816692),
+            (-0.4912668033250032, 0.235891692550908),
+        ])
+        pts = [
+            (0.6177186394224206, -0.4924309107085192),
+            (0.3065676364667234, 0.02212009841682432),
+            (0.7546189481755633, -0.2290444056715413),
+        ]
+        inst = make_instance(omega, pts, MetricKind.HILBERT)
+        result = lp_type_solve(inst)
+        for x in inst.points:
+            assert hilbert_distance(omega, result.value.center, x) <= (
+                result.value.radius + EPS_DIST
+            )
+
+    def test_two_point_radius_is_minimal(self):
+        # Seed 66, round 97: centers 1e-9 of radius below the optimum passed
+        # the band, so the returned radius was not certified minimal.
+        omega = normalize_polygon([
+            (-0.36496541799970056, -0.4170591524223112),
+            (-0.1764223811158528, -0.8173193778728479),
+            (-0.014450092749124545, -0.8945688922766736),
+            (0.4790540710637259, -0.7113852294419795),
+            (0.7594615115392888, -0.34974844652630577),
+            (0.8937215183315685, -0.029596559913014464),
+            (0.929765713197842, 0.6332893451472728),
+            (0.8015432059128913, 0.8851023411611495),
+            (0.4461771637294172, 0.9994148216515445),
+            (0.218710674331768, 0.9034648853200523),
+            (-0.18925533836055064, 0.4266181252880279),
+            (-0.36119569832168313, -0.10840289599769118),
+        ])
+        pts = [
+            (0.5398948548166463, -0.16861860676560428),
+            (0.10704432138697126, 0.18704747152388876),
+        ]
+        inst = make_instance(omega, pts, MetricKind.HILBERT)
+        result = lp_type_solve(inst)
+        assert result.basis.indices == (0, 1)
+        assert feasible_center_set(inst, result.value.radius - 1e-9).is_empty
 
 
 class TestHullPrefilter:
