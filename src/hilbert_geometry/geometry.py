@@ -420,12 +420,39 @@ def clip_halfplane(
 def clip_by_polygon(
     pts: list[Point2], clip: Sequence[Point2], tol: float
 ) -> list[Point2]:
-    """Sutherland-Hodgman clip of a convex chain by a convex CCW polygon."""
+    """Sutherland-Hodgman clip of a convex chain by a convex CCW polygon.
+
+    Equal, element by element, to chaining clip_halfplane over the clip
+    edges in order and stopping at the first empty result; but edges that
+    cannot cut the chain are skipped.  Until the first edge that is not
+    skipped, the chain is still the input, so one bounding box of it holds.
+    For an edge a->b with e = b - a, clip_halfplane keeps a vertex when
+    ex*(y - ay) - ey*(x - ax) >= -tol*|e|.  Every rounded operation in that
+    expression is monotone in x and in y, so its value at the box corner
+    (x_hi if ey >= 0 else x_lo, y_lo if ex >= 0 else y_hi) is at most its
+    value at every vertex.  When the corner passes, every vertex is kept,
+    no edge is cut, and clip_halfplane would return a list equal to its
+    input.  From the first edge not skipped on, every edge is clipped.
+    """
+    if not pts:
+        return pts
     n = len(clip)
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
+    x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
     for i in range(n):
-        pts = clip_halfplane(pts, clip[i], clip[(i + 1) % n], tol)
-        if not pts:
-            break
+        a, b = clip[i], clip[(i + 1) % n]
+        ax, ay = a[0], a[1]
+        ex, ey = b[0] - ax, b[1] - ay
+        x = x_hi if ey >= 0.0 else x_lo
+        y = y_lo if ex >= 0.0 else y_hi
+        if ex * (y - ay) - ey * (x - ax) >= -(tol * math.hypot(ex, ey)):
+            continue
+        for j in range(i, n):
+            pts = clip_halfplane(pts, clip[j], clip[(j + 1) % n], tol)
+            if not pts:
+                break
+        return pts
     return pts
 
 

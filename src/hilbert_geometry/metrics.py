@@ -118,6 +118,14 @@ def _check_radius(r: float) -> None:
         raise ValueError(f"radius must be finite and >= 0, got {r}")
 
 
+def _exp_minus_one(r: float) -> float:
+    """e^r - 1, or inf once e^r overflows (r > 709.78)."""
+    try:
+        return math.exp(r) - 1.0
+    except OverflowError:
+        return math.inf
+
+
 def offset_at_distance(kind: MetricKind, d_fwd: float, d_back: float, r: float) -> float:
     """Euclidean offset u with distance(kind, p, p + u*unit) == r.
 
@@ -131,7 +139,7 @@ def offset_at_distance(kind: MetricKind, d_fwd: float, d_back: float, r: float) 
     if kind is MetricKind.FUNK:
         return d_fwd * (1.0 - math.exp(-r))
     if kind is MetricKind.REVERSE_FUNK:
-        u = d_back * (math.exp(r) - 1.0)
+        u = d_back * _exp_minus_one(r)
         if u >= d_fwd:
             raise Unreachable(
                 f"no interior point at reverse-Funk distance {r} in this direction"
@@ -142,7 +150,7 @@ def offset_at_distance(kind: MetricKind, d_fwd: float, d_back: float, r: float) 
         return (1.0 - t) * d_back * d_fwd / (d_fwd * t + d_back)
     # Thompson: max(F, rF) == r at the smaller of the two single-metric offsets.
     u_funk = d_fwd * (1.0 - math.exp(-r))
-    u_rev = d_back * (math.exp(r) - 1.0)
+    u_rev = d_back * _exp_minus_one(r)
     return min(u_funk, u_rev)
 
 

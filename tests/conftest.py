@@ -35,6 +35,24 @@ def unfiltered_scan(instance):
     return _move_to_front(instance, order, stats), stats
 
 
+def random_projective_map(omega, rng):
+    """A projective map with positive denominator over omega (bounded image)."""
+    while True:
+        a, b, c = rng.uniform(0.5, 2.0), rng.uniform(-0.3, 0.3), rng.uniform(-1, 1)
+        d, e, f = rng.uniform(-0.3, 0.3), rng.uniform(0.5, 2.0), rng.uniform(-1, 1)
+        g, h = rng.uniform(-0.15, 0.15), rng.uniform(-0.15, 0.15)
+        if abs(a * e - b * d) < 0.1:
+            continue
+        if all(g * v.x + h * v.y + 1.0 > 0.2 for v in omega.vertices):
+            return ((a, b, c), (d, e, f), (g, h, 1.0))
+
+
+def apply_projective(mat, p) -> Point2:
+    (a, b, c), (d, e, f), (g, h, i) = mat
+    w = g * p.x + h * p.y + i
+    return Point2((a * p.x + b * p.y + c) / w, (d * p.x + e * p.y + f) / w)
+
+
 def boundary_samples(ball: MetricBall, per_edge: int = 16) -> list[Point2]:
     """Midpoint samples along every shape edge, excluding the domain boundary."""
     assert ball.shape is not None

@@ -24,6 +24,7 @@ from hilbert_geometry import (
     hilbert_ball,
     hilbert_distance,
     lp_type_solve,
+    make_instance,
     min_ball_bisection,
     normalize_polygon,
     objective_f,
@@ -38,7 +39,12 @@ from hilbert_geometry.sampling import (
     random_interior_point,
 )
 
-from conftest import exact_thompson_sides, unfiltered_scan
+from conftest import (
+    apply_projective,
+    exact_thompson_sides,
+    random_projective_map,
+    unfiltered_scan,
+)
 
 SQUARE = normalize_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -229,9 +235,9 @@ def test_criterion_7_projective_invariance():
         if math.hypot(p.x - q.x, p.y - q.y) < 1e-6:
             continue
         h = hilbert_distance(omega, p, q)
-        mat = _random_projective_map(omega, rng)
-        image = normalize_polygon([_apply(mat, v) for v in omega.vertices])
-        h_image = hilbert_distance(image, _apply(mat, p), _apply(mat, q))
+        mat = random_projective_map(omega, rng)
+        image = normalize_polygon([apply_projective(mat, v) for v in omega.vertices])
+        h_image = hilbert_distance(image, apply_projective(mat, p), apply_projective(mat, q))
         err = abs(h - h_image) / (1.0 + h)
         worst = max(worst, err)
         if abs(h - h_image) > 1e-9 * (1.0 + h):
@@ -240,6 +246,43 @@ def test_criterion_7_projective_invariance():
         7,
         violations == 0,
         f"100 projective maps, worst relative error {worst:.2e} (tol 1e-9), "
+        f"violations {violations}",
+    )
+
+
+def test_criterion_7_meb_projective_invariance():
+    # The Hilbert MEB radius is invariant too.  Tolerance 1e-9 (1 + r) for
+    # both solvers, ten times their radius tolerance EPS_RADIUS: each
+    # radius is within about EPS_RADIUS of the optimum in its own domain.
+    # Measured worst on these 50 images: 7.7e-16 (lp_type_solve), 1.2e-15
+    # (min_ball_bisection); on all 183 criterion-2 instances with n >= 2,
+    # 3.5e-15 and 5.1e-15.
+    worst = {lp_type_solve: 0.0, min_ball_bisection: 0.0}
+    violations = images = 0
+    for seed in range(0, 200, 3):
+        inst = random_instance(3 + seed % 10, 1 + seed % 12, MetricKind.HILBERT, seed=seed)
+        if len(inst.points) < 2:
+            continue
+        mat = random_projective_map(inst.omega, random.Random(43000 + seed))
+        image = make_instance(
+            normalize_polygon([apply_projective(mat, v) for v in inst.omega.vertices]),
+            [apply_projective(mat, x) for x in inst.points],
+            MetricKind.HILBERT,
+            seed=seed,
+        )
+        images += 1
+        for solver in worst:
+            r = solver(inst).value.radius
+            err = abs(r - solver(image).value.radius) / (1.0 + r)
+            worst[solver] = max(worst[solver], err)
+            if err > 1e-9:
+                violations += 1
+    _report(
+        7,
+        violations == 0,
+        f"{images} projective images of criterion-2 instances, worst relative "
+        f"MEB radius change {worst[lp_type_solve]:.2e} (lp_type_solve), "
+        f"{worst[min_ball_bisection]:.2e} (min_ball_bisection), tol 1e-9, "
         f"violations {violations}",
     )
 
@@ -285,21 +328,3 @@ def test_criterion_9_empirical_linearity():
         + ", ".join(f"n={n}: {v:.2f}" for n, v in per_point.items())
         + f" (bound 20), bench time {elapsed:.1f}s (budget 120s)",
     )
-
-
-def _random_projective_map(omega, rng):
-    """Random projective map with positive denominator over omega."""
-    while True:
-        a, b, c = rng.uniform(0.5, 2.0), rng.uniform(-0.3, 0.3), rng.uniform(-1, 1)
-        d, e, f = rng.uniform(-0.3, 0.3), rng.uniform(0.5, 2.0), rng.uniform(-1, 1)
-        g, h = rng.uniform(-0.15, 0.15), rng.uniform(-0.15, 0.15)
-        if abs(a * e - b * d) < 0.1:
-            continue
-        if all(g * v.x + h * v.y + 1.0 > 0.2 for v in omega.vertices):
-            return ((a, b, c), (d, e, f), (g, h, 1.0))
-
-
-def _apply(mat, p):
-    (a, b, c), (d, e, f), (g, h, i) = mat
-    w = g * p.x + h * p.y + i
-    return Point2((a * p.x + b * p.y + c) / w, (d * p.x + e * p.y + f) / w)

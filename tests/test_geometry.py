@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbert_geometry import (
@@ -23,7 +23,8 @@ from hilbert_geometry import (
     point_location,
     ray_boundary_intersection,
 )
-from hilbert_geometry.geometry import clip_halfplane
+from hilbert_geometry import geometry
+from hilbert_geometry.geometry import clip_by_polygon, clip_halfplane
 from hilbert_geometry.sampling import random_convex_polygon, random_interior_point
 
 from conftest import UNIT_SQUARE, seeded
@@ -191,6 +192,90 @@ class TestClipHalfplane:
         chain = [P(0, -0.0015), P(1, -0.0005), P(1, 1), P(0, 1)]
         out = clip_halfplane(chain, P(0, 0), P(1, 0), 1e-3)
         assert out == [P(0, 0), P(1, -0.0005), P(1, 1), P(0, 1)]
+
+
+def _halfplane_chain(pts, clip, tol):
+    """clip_by_polygon without its skip: every edge in order, stopping at the
+    first empty result."""
+    n = len(clip)
+    for i in range(n):
+        pts = clip_halfplane(pts, clip[i], clip[(i + 1) % n], tol)
+        if not pts:
+            break
+    return pts
+
+
+def _hex(pts):
+    return [(p[0].hex(), p[1].hex()) for p in pts]
+
+
+def _clip_case(seed, m_chain, m_clip, mode):
+    """A convex CCW chain and a convex CCW clip polygon placed by mode."""
+    rng = seeded(seed)
+    chain = random_convex_polygon(m_chain, rng)
+    if mode == "random":
+        dx, dy = rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5)
+        clip = [P(v.x + dx, v.y + dy) for v in random_convex_polygon(m_clip, rng).vertices]
+    elif mode == "contains":
+        # An octagon around the chain's bounding box: no edge can cut.
+        xs = [v.x for v in chain.vertices]
+        ys = [v.y for v in chain.vertices]
+        cx, cy = 0.5 * (min(xs) + max(xs)), 0.5 * (min(ys) + max(ys))
+        rad = 2.0 * math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+        clip = [
+            P(cx + rad * math.cos(k * math.pi / 4), cy + rad * math.sin(k * math.pi / 4))
+            for k in range(8)
+        ]
+    elif mode in ("graze", "box"):
+        # The chain, moved by a few clip bands: vertices land inside, in and
+        # just past the band of the edges they sat on.  A box chain is its
+        # own bounding box, so the skip test there sits on the band too.
+        if mode == "box":
+            xs = [v.x for v in chain.vertices]
+            ys = [v.y for v in chain.vertices]
+            x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
+            chain = normalize_polygon([(x_lo, y_lo), (x_hi, y_lo), (x_hi, y_hi), (x_lo, y_hi)])
+        step = chain.scale * rng.choice([1e-13, 3e-12, 2e-11, 3e-9, 2e-8])
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        dx, dy = step * math.cos(angle), step * math.sin(angle)
+        clip = [P(v.x + dx, v.y + dy) for v in chain.vertices]
+    else:  # "tangent": a triangle on the far side of one chain edge a->b
+        k = rng.randrange(m_chain)
+        a, b = chain.vertices[k], chain.vertices[(k + 1) % m_chain]
+        apex = P(0.5 * (a.x + b.x) + (b.y - a.y), 0.5 * (a.y + b.y) - (b.x - a.x))
+        clip = [b, a, apex]
+    return list(chain.vertices), clip, chain.scale
+
+
+class TestClipByPolygon:
+    """The skip of edges that cannot cut leaves every output bit as it is."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m_chain=st.integers(3, 12),
+        m_clip=st.integers(3, 12),
+        mode=st.sampled_from(["random", "contains", "tangent", "graze", "box"]),
+        shift=st.sampled_from([0.0, 1e4]),
+        rel_tol=st.sampled_from([0.0, 1e-12, 1e-9]),
+    )
+    def test_equals_plain_halfplane_chain(self, seed, m_chain, m_clip, mode, shift, rel_tol):
+        chain, clip, scale = _clip_case(seed, m_chain, m_clip, mode)
+        t = shift * scale
+        chain = [P(v.x + t, v.y + t) for v in chain]
+        clip = [P(v.x + t, v.y + t) for v in clip]
+        tol = rel_tol * scale
+        assert _hex(clip_by_polygon(chain, clip, tol)) == _hex(_halfplane_chain(chain, clip, tol))
+
+    def test_containing_clip_skips_every_edge(self, monkeypatch):
+        chain, clip, scale = _clip_case(7, 6, 0, "contains")
+        calls = []
+        monkeypatch.setattr(geometry, "clip_halfplane", lambda *args: calls.append(args))
+        assert clip_by_polygon(chain, clip, 1e-12 * scale) == chain
+        assert calls == []
+
+    def test_empty_chain(self, unit_square):
+        assert clip_by_polygon([], unit_square.vertices, 1e-9) == []
 
 
 class TestClipConvex:

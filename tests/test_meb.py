@@ -24,13 +24,18 @@ from hilbert_geometry import (
     normalize_polygon,
     objective_f,
     point_location,
+    thompson_distance,
     three_point_value,
     two_point_center,
     violation_test,
 )
 from hilbert_geometry.meb import EPS_RADIUS, MAX_BISECTION_ITERATIONS, _hull_candidates
 from hilbert_geometry.metrics import EPS_DIST
-from hilbert_geometry.sampling import random_instance
+from hilbert_geometry.sampling import (
+    random_convex_polygon,
+    random_instance,
+    random_interior_point,
+)
 
 from conftest import UNIT_SQUARE, seeded, unfiltered_scan
 
@@ -123,6 +128,19 @@ class TestMinBallBisection:
         inst = make_instance(base.omega, base.points, kind, seed=1, eps_radius=1e-20)
         result = min_ball_bisection(inst)
         assert result.stats.bisection_iterations < MAX_BISECTION_ITERATIONS
+
+    def test_thompson_pair_radius_exceeds_half_distance(self):
+        # Thompson is not a length metric here, so no d/2 shortcut may
+        # stand in for the two-point solve: on this triangle the minimum
+        # ball of the pair is 18% wider than T(p, q)/2.
+        rng = seeded(50)
+        omega = random_convex_polygon(3 + 50 % 10, rng)
+        p, q = random_interior_point(omega, rng), random_interior_point(omega, rng)
+        inst = make_instance(omega, [p, q], MetricKind.THOMPSON)
+        half = thompson_distance(omega, p, q) / 2
+        assert half == pytest.approx(1.4847, abs=1e-4)
+        assert min_ball_bisection(inst).value.radius == pytest.approx(1.7465, abs=1e-4)
+        assert feasible_center_set(inst, 1.1 * half).is_empty
 
     @pytest.mark.parametrize("kind", list(MetricKind))
     @pytest.mark.parametrize("seed", range(5))

@@ -21,7 +21,7 @@ from hilbert_geometry import (
 from hilbert_geometry.metrics import EPS_DIST
 from hilbert_geometry.sampling import random_convex_polygon, random_interior_point
 
-from conftest import seeded
+from conftest import apply_projective, random_projective_map, seeded
 
 ALL_KINDS = list(MetricKind)
 P = Point2
@@ -158,6 +158,16 @@ class TestPointAtDistance:
         )
         assert q.x == pytest.approx(0.5 + 0.5 * (math.exp(0.5) - 1))
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_radius_past_exp_overflow(self, unit_square, kind):
+        # e^800 overflows a float: reverse Funk cannot reach r, and the
+        # other three offsets round to the whole boundary distance.
+        if kind is MetricKind.REVERSE_FUNK:
+            with pytest.raises(Unreachable):
+                point_at_distance(unit_square, kind, CENTER, (1, 0), 800.0)
+        else:
+            assert point_at_distance(unit_square, kind, CENTER, (1, 0), 800.0) == (1.0, 0.5)
+
     def test_thompson_takes_smaller_offset(self, unit_square):
         # Thompson = max of the two metrics, so its sphere is the nearer one.
         r = 0.3
@@ -221,26 +231,7 @@ class TestProjectiveInvariance:
         if math.hypot(p.x - q.x, p.y - q.y) < 1e-6:
             pytest.skip("degenerate draw")
         h = hilbert_distance(omega, p, q)
-        mat = _random_projective_map(omega, rng)
-        image = normalize_polygon([_apply(mat, v) for v in omega.vertices])
-        h_image = hilbert_distance(image, _apply(mat, p), _apply(mat, q))
+        mat = random_projective_map(omega, rng)
+        image = normalize_polygon([apply_projective(mat, v) for v in omega.vertices])
+        h_image = hilbert_distance(image, apply_projective(mat, p), apply_projective(mat, q))
         assert abs(h - h_image) <= 1e-9 * (1 + h)
-
-
-def _random_projective_map(omega, rng):
-    """A projective map with positive denominator over omega (bounded image)."""
-    while True:
-        a, b, c = rng.uniform(0.5, 2.0), rng.uniform(-0.3, 0.3), rng.uniform(-1, 1)
-        d, e, f = rng.uniform(-0.3, 0.3), rng.uniform(0.5, 2.0), rng.uniform(-1, 1)
-        g, h = rng.uniform(-0.15, 0.15), rng.uniform(-0.15, 0.15)
-        mat = ((a, b, c), (d, e, f), (g, h, 1.0))
-        if abs(a * e - b * d) < 0.1:
-            continue
-        if all(g * v.x + h * v.y + 1.0 > 0.2 for v in omega.vertices):
-            return mat
-
-
-def _apply(mat, p):
-    (a, b, c), (d, e, f), (g, h, i) = mat
-    w = g * p.x + h * p.y + i
-    return Point2((a * p.x + b * p.y + c) / w, (d * p.x + e * p.y + f) / w)
