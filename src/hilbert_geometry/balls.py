@@ -12,8 +12,9 @@ Construction recipes:
   vertex).
 * Thompson ball: intersection of the forward and reverse Funk balls.
 
-A radius-0 ball is the single point {center}; it is stored with
-``shape=None`` so downstream clipping never sees a zero-area polygon.
+A ball of radius 0, or one whose shape rounds onto its center, is the single
+point {center}; it is stored with ``shape=None`` so downstream clipping
+never sees a zero-area polygon.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .metrics import MetricKind, _check_radius, distance
 
 @dataclass(frozen=True)
 class MetricBall:
-    """A realized closed ball; shape is None for the degenerate radius-0 ball."""
+    """A realized closed ball; shape is None for a ball collapsed to its center."""
 
     kind: MetricKind
     center: Point2
@@ -121,8 +122,13 @@ def _reflected(omega: ConvexPolygon, p: Point2, ratio: float) -> list[Point2]:
     return [Point2(px + ratio * (px - v.x), py + ratio * (py - v.y)) for v in omega.vertices]
 
 
-def _funk_shape(omega: ConvexPolygon, p: Point2, r: float) -> ConvexPolygon:
-    return ConvexPolygon(tuple(funk_ball_points(omega, p, r)))
+def _homothet(pts: list[Point2], p: Point2) -> ConvexPolygon | None:
+    """The homothet on pts, or None once its ratio rounds every vertex onto p."""
+    return None if all(v == p for v in pts) else ConvexPolygon(tuple(pts))
+
+
+def _funk_shape(omega: ConvexPolygon, p: Point2, r: float) -> ConvexPolygon | None:
+    return _homothet(funk_ball_points(omega, p, r), p)
 
 
 def _reverse_funk_shape(omega: ConvexPolygon, p: Point2, r: float) -> ConvexPolygon | None:
@@ -132,8 +138,8 @@ def _reverse_funk_shape(omega: ConvexPolygon, p: Point2, r: float) -> ConvexPoly
     if all(point_location(omega, v) is PointLocation.INTERIOR for v in inverse):
         return omega
     # Clip omega, not the homothet: its vertices and edges are the short ones.
-    homothet = ConvexPolygon(tuple(reverse_funk_ball_points(omega, p, r)))
-    return clip_convex(omega, homothet).polygon
+    homothet = _homothet(reverse_funk_ball_points(omega, p, r), p)
+    return None if homothet is None else clip_convex(omega, homothet).polygon
 
 
 def _hilbert_shape(omega: ConvexPolygon, p: Point2, r: float) -> ConvexPolygon | None:
@@ -145,10 +151,8 @@ def _hilbert_shape(omega: ConvexPolygon, p: Point2, r: float) -> ConvexPolygon |
 
 
 def _thompson_shape(omega: ConvexPolygon, p: Point2, r: float) -> ConvexPolygon | None:
-    rev = _reverse_funk_shape(omega, p, r)
-    if rev is None:
-        return None
-    return clip_convex(_funk_shape(omega, p, r), rev).polygon
+    rev, fwd = _reverse_funk_shape(omega, p, r), _funk_shape(omega, p, r)
+    return None if rev is None or fwd is None else clip_convex(fwd, rev).polygon
 
 
 _SHAPES = {

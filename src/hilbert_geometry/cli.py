@@ -221,11 +221,7 @@ def _cmd_ball(args: argparse.Namespace) -> int:
 def _cmd_meb(args: argparse.Namespace) -> int:
     doc = load_document(args.input)
     instance = build_instance(doc, args)
-    solver = args.solver
-    if solver is None:
-        solver = "lp_type" if instance.kind is MetricKind.HILBERT else "bisection"
-    if solver == "lp_type" and instance.kind is not MetricKind.HILBERT:
-        raise _usage_failure("solver lp_type requires metric hilbert")
+    solver = args.solver or ("lp_type" if instance.kind is MetricKind.HILBERT else "bisection")
     result = lp_type_solve(instance) if solver == "lp_type" else min_ball_bisection(instance)
     _emit(result_document(result, solver))
     if args.svg:

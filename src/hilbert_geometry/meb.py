@@ -2,17 +2,17 @@
 
 Two solvers share one objective:
 
-* ``lp_type_solve`` (Hilbert only): randomized incremental solver of
-  combinatorial dimension 3 over the points' hull candidates, built from
-  the violation-test and basis-computation primitives.
-* ``min_ball_bisection`` (all four metrics): radius bisection against the
-  feasible-center region, used as the reference oracle for the LP-type path.
+* ``lp_type_solve``: randomized incremental solver of combinatorial
+  dimension 3 over the points' hull candidates, built from the
+  violation-test and basis-computation primitives.
+* ``min_ball_bisection``: radius bisection against the feasible-center
+  region, used as the reference oracle for the LP-type path.
 
-The LP-type path solves three-point bases with a strictly larger ball than
-any pair (case 3 of ``_three_point_core``) by bisecting only until it knows
-which three ball edges meet at the optimum, then finding the radius where
-those edges are concurrent as a sign-change root.  A root is used only once
-it is certified; otherwise the plain bisection result stands.
+Both serve all four metrics.  Hilbert pairs take the closed-form radius d/2;
+other pairs are bisected.  Hilbert three-point bases larger than any pair
+(case 3 of ``_three_point_core``) bisect only until the three ball edges
+meeting at the optimum are known, then take a certified sign-change root
+for the radius where they concur; without one, the bisection result stands.
 
 The objective value is the pair (radius, center) under lexicographic order
 (radius, then center.x, then center.y), which makes the optimum unique even
@@ -302,26 +302,27 @@ def min_ball_bisection(instance: MebInstance) -> MebResult:
 
 
 # ---------------------------------------------------------------------------
-# Hilbert LP-type primitives
+# LP-type primitives
 # ---------------------------------------------------------------------------
 
-def _require_hilbert(instance: MebInstance, op: str) -> None:
-    if instance.kind is not MetricKind.HILBERT:
-        raise ValueError(f"{op} is only defined for the Hilbert metric")
-
-
 def two_point_center(instance: MebInstance, p: Point2, q: Point2) -> ObjectiveValue:
-    """Minimum Hilbert ball of two points.
-
-    The optimal radius is half the distance (chords are geodesics); the
-    optimal center set is the intersection of the two radius-r* balls, from
-    which the lexicographically smallest point is reported.
-    """
-    _require_hilbert(instance, "two_point_center")
+    """Minimum ball of two points.  Hilbert: radius d/2 (chords are geodesics)
+    and the lexicographically least center where the two balls meet; other
+    metrics bisect, since a Thompson pair can need more than T/2."""
     omega = instance.omega
     p, q = _require_interior(omega, p), _require_interior(omega, q)
     if _coincident(omega, p, q):
         raise CoincidentPoints("two_point_center needs distinct points")
+    return _pair_value(instance, p, q, SolveStats())
+
+
+def _pair_value(
+    instance: MebInstance, p: Point2, q: Point2, stats: SolveStats
+) -> ObjectiveValue:
+    """two_point_center of two distinct points already checked interior."""
+    if instance.kind is not MetricKind.HILBERT:
+        return _solve_bisection(instance, (p, q), stats)
+    omega = instance.omega
     r_star = _distance(omega, MetricKind.HILBERT, p, q) / 2.0
     if r_star <= EPS_DIST:
         # Balls this small are below distance tolerance; any point between
@@ -367,7 +368,7 @@ def _three_point_core(
     instance: MebInstance,
     pts: Sequence[Point2],
     pair_values: Sequence[tuple[ObjectiveValue, tuple[int, int]]],
-    stats: SolveStats | None,
+    stats: SolveStats,
 ) -> tuple[ObjectiveValue, tuple[int, ...]]:
     """Optimum of three distinct points, with its minimal (local) support.
 
@@ -380,10 +381,10 @@ def _three_point_core(
        ties the pair's bitwise, only the center moves (support = all three).
        Evaluating this exactly instead of by bisection keeps the objective
        monotone under exact comparison;
-    3. otherwise all three points support a strictly larger ball.  Bisection
-       bracketed below by R runs only until the three ball edges meeting at
-       the optimum are known; their concurrency radius is then solved and
-       certified (``_ConcurrentEdges``).  If no root is certified, the
+    3. otherwise all three points support a strictly larger ball, bisected
+       from R up.  For Hilbert, bisection runs only until the three ball
+       edges meeting at the optimum are known, then their concurrency radius
+       is solved (``_ConcurrentEdges``); without a certified root the
        bisection result stands and ``case3_fallbacks`` counts it.
     """
     r_max = max(v.radius for v, _ in pair_values)
@@ -399,11 +400,12 @@ def _three_point_core(
     if chain:
         center = lexicographic_min(classify_region(chain, instance.omega.scale))
         return (ObjectiveValue(r_max, center), (0, 1, 2))
-    local = stats if stats is not None else SolveStats()
+    if instance.kind is not MetricKind.HILBERT:
+        return (_solve_bisection(instance, pts, stats, r_lo=r_max), (0, 1, 2))
     edges = _ConcurrentEdges(instance, pts)
-    value = _solve_bisection(instance, pts, local, r_lo=r_max, polish=edges)
+    value = _solve_bisection(instance, pts, stats, r_lo=r_max, polish=edges)
     if not edges.solved:
-        local.case3_fallbacks += 1
+        stats.case3_fallbacks += 1
     return (value, (0, 1, 2))
 
 
@@ -536,18 +538,17 @@ class _ConcurrentEdges:
 def three_point_value(
     instance: MebInstance, a: Point2, b: Point2, c: Point2
 ) -> ObjectiveValue:
-    """Minimum Hilbert ball of three points (see _three_point_core)."""
-    _require_hilbert(instance, "three_point_value")
+    """Minimum ball of three points (see _three_point_core)."""
     sub = make_instance(
-        instance.omega, (a, b, c), MetricKind.HILBERT, eps_radius=instance.eps_radius
+        instance.omega, (a, b, c), instance.kind, eps_radius=instance.eps_radius
     )
     if len(sub.points) == 1:
         raise CoincidentPoints("three_point_value needs at least two distinct points")
-    return _subset_value(sub, tuple(range(len(sub.points))), None)[0]
+    return _subset_value(sub, tuple(range(len(sub.points))), SolveStats())[0]
 
 
 def _subset_value(
-    instance: MebInstance, idxs: tuple[int, ...], stats: SolveStats | None
+    instance: MebInstance, idxs: tuple[int, ...], stats: SolveStats
 ) -> tuple[ObjectiveValue, tuple[int, ...]]:
     """Exact objective of a subset of size <= 3, with its minimal support.
 
@@ -562,7 +563,7 @@ def _subset_value(
     if len(idxs) == 1:
         out = (ObjectiveValue(0.0, pts[idxs[0]]), idxs)
     elif len(idxs) == 2:
-        out = (two_point_center(instance, pts[idxs[0]], pts[idxs[1]]), idxs)
+        out = (_pair_value(instance, pts[idxs[0]], pts[idxs[1]], stats), idxs)
     else:
         triple = tuple(pts[i] for i in idxs)
         pair_values = [
@@ -594,8 +595,8 @@ def basis_computation(
     stats: SolveStats | None = None,
 ) -> Basis:
     """Minimal basis of basis + {x}, by exhausting supports that include x."""
-    if stats is not None:
-        stats.basis_computations += 1
+    stats = stats if stats is not None else SolveStats()
+    stats.basis_computations += 1
     old = [i for i in basis.indices if i != x]
     candidates: list[tuple[int, ...]] = [(x,)]
     candidates += [tuple(sorted((i, x))) for i in old]
@@ -608,7 +609,7 @@ def _best_cover(
     instance: MebInstance,
     candidates: Iterable[tuple[int, ...]],
     group: Sequence[int],
-    stats: SolveStats | None,
+    stats: SolveStats,
 ) -> tuple[ObjectiveValue, tuple[int, ...]]:
     """The smallest candidate subset value whose ball covers every point of
     group, with its support; ties keep the earliest candidate."""
@@ -679,13 +680,12 @@ def _move_to_front(instance: MebInstance, order: list[int], stats: SolveStats) -
 def lp_type_solve(instance: MebInstance) -> MebResult:
     """Randomized incremental LP-type solver (move-to-front variant).
 
-    Hilbert balls are convex, so only hull candidates can support the
+    Every forward ball is convex, so only hull candidates can support the
     optimum; they are scanned in a seed-shuffled order.  A violating point
     is moved to the front and the scan restarts, so every accepted prefix is
     certified against the current basis.  Each basis change strictly
     increases the objective, which bounds the number of restarts.
     """
-    _require_hilbert(instance, "lp_type_solve")
     order = list(range(len(instance.points)))
     random.Random(instance.seed).shuffle(order)
     keep = _hull_candidates(instance.points, instance.omega.scale)
@@ -697,7 +697,6 @@ def lp_type_solve(instance: MebInstance) -> MebResult:
 
 def objective_f(instance: MebInstance, subset: Sequence[int]) -> ObjectiveValue:
     """Exact LP-type objective on a small subset (exhaustive over supports)."""
-    _require_hilbert(instance, "objective_f")
     idxs = tuple(sorted(set(subset)))
     if not idxs:
         raise EmptyInstance("objective_f of empty subset")
@@ -707,4 +706,4 @@ def objective_f(instance: MebInstance, subset: Sequence[int]) -> ObjectiveValue:
     candidates = (
         cand for size in range(1, min(3, len(idxs)) + 1) for cand in combinations(idxs, size)
     )
-    return _best_cover(instance, candidates, idxs, None)[0]
+    return _best_cover(instance, candidates, idxs, SolveStats())[0]

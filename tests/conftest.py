@@ -7,6 +7,7 @@ import pytest
 from hilbert_geometry import (
     ConvexPolygon,
     MetricBall,
+    MetricKind,
     Point2,
     PointLocation,
     normalize_polygon,
@@ -24,6 +25,16 @@ def unit_square():
 
 def seeded(seed: int) -> random.Random:
     return random.Random(seed)
+
+
+def over_metrics(values):
+    """Parameters (value, kind) for every metric.  A Hilbert case keeps its
+    bare value as id, the id it had when these tests ran Hilbert only."""
+    return [
+        pytest.param(v, kind, id=str(v) if kind is MetricKind.HILBERT else f"{v}-{kind.value}")
+        for kind in MetricKind
+        for v in values
+    ]
 
 
 def unfiltered_scan(instance):

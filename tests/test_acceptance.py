@@ -1,8 +1,9 @@
 """Acceptance suite: one test per release criterion.
 
-Each test prints a single ``[PASS]``/``[FAIL]`` line (visible under
-``pytest -s`` or on failure) and asserts at the criterion's stated
-tolerance.  Criterion 5 asserts the ball-complexity bounds that hold:
+Each test prints a ``[PASS]``/``[FAIL]`` line (visible under ``pytest -s``
+or on failure) and asserts at the criterion's stated tolerance.  Criteria
+2-4 run the LP-type solver for all four metrics and criterion 9 for Hilbert
+and Thompson, one line per metric.  Criterion 5 asserts the ball-complexity bounds that hold:
 [m, 2m] sides for Hilbert balls of an m-gon and [3, 2m] for Thompson
 balls, whose lower bound m is false (see
 tests/test_balls.py::TestThompsonBall::test_side_count_can_drop_below_m
@@ -67,95 +68,98 @@ def test_criterion_1_fixture_exactness():
 
 
 def test_criterion_2_oracle_equivalence():
-    start = time.perf_counter()
-    worst_gap = 0.0
-    violations = 0
-    for seed in range(200):
-        inst = random_instance(3 + seed % 10, 1 + seed % 12, MetricKind.HILBERT, seed=seed)
-        lp = lp_type_solve(inst)
-        oracle = min_ball_bisection(inst)
-        gap = abs(lp.value.radius - oracle.value.radius)
-        worst_gap = max(worst_gap, gap)
-        if gap > 1e-6:
-            violations += 1
-        for x in inst.points:
-            for result in (lp, oracle):
-                if distance(inst.omega, inst.kind, result.value.center, x) > (
-                    result.value.radius + 1e-7
-                ):
-                    violations += 1
-    elapsed = time.perf_counter() - start
-    _report(
-        2,
-        violations == 0 and elapsed <= 60.0,
-        f"200 instances, worst radius gap {worst_gap:.2e} (tol 1e-6), "
-        f"{violations} violations, {elapsed:.1f}s (budget 60s)",
-    )
+    for kind in MetricKind:
+        start = time.perf_counter()
+        worst_gap = 0.0
+        violations = 0
+        for seed in range(200):
+            inst = random_instance(3 + seed % 10, 1 + seed % 12, kind, seed=seed)
+            lp = lp_type_solve(inst)
+            oracle = min_ball_bisection(inst)
+            gap = abs(lp.value.radius - oracle.value.radius)
+            worst_gap = max(worst_gap, gap)
+            if gap > 1e-6:
+                violations += 1
+            for x in inst.points:
+                for result in (lp, oracle):
+                    if distance(inst.omega, inst.kind, result.value.center, x) > (
+                        result.value.radius + 1e-7
+                    ):
+                        violations += 1
+        elapsed = time.perf_counter() - start
+        _report(
+            2,
+            violations == 0 and elapsed <= 60.0,
+            f"{kind.value}: 200 instances, worst radius gap {worst_gap:.2e} (tol 1e-6), "
+            f"{violations} violations, {elapsed:.1f}s (budget 60s)",
+        )
 
 
 def test_criterion_3_lp_type_axioms():
-    start = time.perf_counter()
-    mono = loc = 0
-    for seed in range(50):
-        inst = random_instance(3 + seed % 10, 6, MetricKind.HILBERT, seed=3000 + seed)
-        n = len(inst.points)
-        subsets = [
-            tuple(i for i in range(n) if mask & (1 << i)) for mask in range(1, 1 << n)
-        ]
-        values = {s: objective_f(inst, s) for s in subsets}
-        for s in subsets:
-            s_set = set(s)
-            for t in subsets:
-                if s_set <= set(t) and not values[s] <= values[t]:
-                    mono += 1
-        for f_set in subsets:
-            fv = values[f_set]
-            for g_set in subsets:
-                if not set(f_set) <= set(g_set) or values[g_set] != fv:
-                    continue
-                for x in range(n):
-                    if x in g_set:
+    for kind in MetricKind:
+        start = time.perf_counter()
+        mono = loc = 0
+        for seed in range(50):
+            inst = random_instance(3 + seed % 10, 6, kind, seed=3000 + seed)
+            n = len(inst.points)
+            subsets = [
+                tuple(i for i in range(n) if mask & (1 << i)) for mask in range(1, 1 << n)
+            ]
+            values = {s: objective_f(inst, s) for s in subsets}
+            for s in subsets:
+                s_set = set(s)
+                for t in subsets:
+                    if s_set <= set(t) and not values[s] <= values[t]:
+                        mono += 1
+            for f_set in subsets:
+                fv = values[f_set]
+                for g_set in subsets:
+                    if not set(f_set) <= set(g_set) or values[g_set] != fv:
                         continue
-                    fx = tuple(sorted(set(f_set) | {x}))
-                    gx = tuple(sorted(set(g_set) | {x}))
-                    if values[fx] == fv and values[gx] != fv:
-                        loc += 1
-    elapsed = time.perf_counter() - start
-    _report(
-        3,
-        mono == 0 and loc == 0 and elapsed <= 60.0,
-        f"50 exhaustive 6-point sweeps: {mono} monotonicity / {loc} locality "
-        f"violations, {elapsed:.1f}s (budget 60s)",
-    )
+                    for x in range(n):
+                        if x in g_set:
+                            continue
+                        fx = tuple(sorted(set(f_set) | {x}))
+                        gx = tuple(sorted(set(g_set) | {x}))
+                        if values[fx] == fv and values[gx] != fv:
+                            loc += 1
+        elapsed = time.perf_counter() - start
+        _report(
+            3,
+            mono == 0 and loc == 0 and elapsed <= 60.0,
+            f"{kind.value}: 50 exhaustive 6-point sweeps: {mono} monotonicity / {loc} "
+            f"locality violations, {elapsed:.1f}s (budget 60s)",
+        )
 
 
 def test_criterion_4_combinatorial_dimension():
-    size_bad = support_bad = minimality_bad = 0
-    worst_support = 0.0
-    for seed in range(200):
-        inst = random_instance(3 + seed % 10, 1 + seed % 12, MetricKind.HILBERT, seed=seed)
-        basis = lp_type_solve(inst).basis
-        if not 1 <= len(basis.indices) <= 3:
-            size_bad += 1
-        for i in basis.indices:
-            err = abs(
-                hilbert_distance(inst.omega, basis.value.center, inst.points[i])
-                - basis.value.radius
-            )
-            worst_support = max(worst_support, err)
-            if err > 1e-7:
-                support_bad += 1
-        if len(basis.indices) > 1:
+    for kind in MetricKind:
+        size_bad = support_bad = minimality_bad = 0
+        worst_support = 0.0
+        for seed in range(200):
+            inst = random_instance(3 + seed % 10, 1 + seed % 12, kind, seed=seed)
+            basis = lp_type_solve(inst).basis
+            if not 1 <= len(basis.indices) <= 3:
+                size_bad += 1
             for i in basis.indices:
-                rest = tuple(j for j in basis.indices if j != i)
-                if not objective_f(inst, rest) < basis.value:
-                    minimality_bad += 1
-    _report(
-        4,
-        size_bad == 0 and support_bad == 0 and minimality_bad == 0,
-        f"200 solved bases: sizes ok={size_bad == 0}, worst support error "
-        f"{worst_support:.2e} (tol 1e-7), minimality violations {minimality_bad}",
-    )
+                err = abs(
+                    distance(inst.omega, kind, basis.value.center, inst.points[i])
+                    - basis.value.radius
+                )
+                worst_support = max(worst_support, err)
+                if err > 1e-7:
+                    support_bad += 1
+            if len(basis.indices) > 1:
+                for i in basis.indices:
+                    rest = tuple(j for j in basis.indices if j != i)
+                    if not objective_f(inst, rest) < basis.value:
+                        minimality_bad += 1
+        _report(
+            4,
+            size_bad == 0 and support_bad == 0 and minimality_bad == 0,
+            f"{kind.value}: 200 solved bases: sizes ok={size_bad == 0}, worst support "
+            f"error {worst_support:.2e} (tol 1e-7), minimality violations {minimality_bad}",
+        )
 
 
 def test_criterion_5_ball_complexity():
@@ -309,22 +313,23 @@ def test_criterion_9_empirical_linearity():
     # The unfiltered move-to-front core over all points, on five m = 8
     # instances per n (seeds derived from n and the trial), in each
     # instance's seed order: lp_type_solve's hull prefilter must not be
-    # what makes this pass.
-    start = time.perf_counter()
-    per_point = {}
-    for n in (100, 1000, 10000):
-        tests = []
-        for trial in range(5):
-            derived = ((0 * 31 + n) * 31 + 8) * 31 + trial
-            inst = random_instance(8, n, MetricKind.HILBERT, derived)
-            tests.append(unfiltered_scan(inst)[1].violation_tests)
-        per_point[n] = fmean(tests) / n
-    elapsed = time.perf_counter() - start
-    bounded = all(v <= 20.0 for v in per_point.values())
-    _report(
-        9,
-        bounded and elapsed <= 120.0,
-        "violation tests per point: "
-        + ", ".join(f"n={n}: {v:.2f}" for n, v in per_point.items())
-        + f" (bound 20), bench time {elapsed:.1f}s (budget 120s)",
-    )
+    # what makes this pass.  Thompson takes the same instances.
+    for kind in (MetricKind.HILBERT, MetricKind.THOMPSON):
+        start = time.perf_counter()
+        per_point = {}
+        for n in (100, 1000, 10000):
+            tests = []
+            for trial in range(5):
+                derived = ((0 * 31 + n) * 31 + 8) * 31 + trial
+                inst = random_instance(8, n, kind, derived)
+                tests.append(unfiltered_scan(inst)[1].violation_tests)
+            per_point[n] = fmean(tests) / n
+        elapsed = time.perf_counter() - start
+        bounded = all(v <= 20.0 for v in per_point.values())
+        _report(
+            9,
+            bounded and elapsed <= 120.0,
+            f"{kind.value}: violation tests per point: "
+            + ", ".join(f"n={n}: {v:.2f}" for n, v in per_point.items())
+            + f" (bound 20), bench time {elapsed:.1f}s (budget 120s)",
+        )

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from hilbert_geometry import (
+    EPS_GEOM,
     MetricKind,
     NotInterior,
     Point2,
@@ -13,6 +14,7 @@ from hilbert_geometry import (
     funk_ball,
     half_spokes,
     hilbert_ball,
+    normalize_polygon,
     point_location,
     reverse_funk_ball,
     thompson_ball,
@@ -20,7 +22,7 @@ from hilbert_geometry import (
 from hilbert_geometry.metrics import EPS_DIST
 from hilbert_geometry.sampling import random_convex_polygon, random_interior_point
 
-from conftest import boundary_samples, exact_thompson_sides, seeded
+from conftest import UNIT_SQUARE, boundary_samples, exact_thompson_sides, seeded
 
 P = Point2
 CENTER = P(0.5, 0.5)
@@ -204,6 +206,21 @@ class TestBallDispatchAndContains:
         assert distance(unit_square, MetricKind.HILBERT, CENTER, P(0.9, 0.5)) == (
             pytest.approx(math.log(3), abs=1e-12)
         )
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("shift", [0.0, 1e3])
+    def test_tiny_radius_stays_at_the_center(self, kind, shift):
+        # e^r - 1 and 1 - e^-r round to 0 (or to a few ulps of p) here.  A
+        # homothet that collapses onto p is the point ball, not a zero-area
+        # polygon; the collapsed reverse-Funk homothet once clipped nothing
+        # away and gave the whole domain.
+        omega = normalize_polygon([(x + shift, y + shift) for x, y in UNIT_SQUARE])
+        p = P(0.3 + shift, 0.6 + shift)
+        for r in (1e-300, 1e-17):
+            assert ball(omega, kind, p, r).shape is None
+        for r in (1e-16, 2e-16):
+            for v in ball(omega, kind, p, r).shape_points():
+                assert math.hypot(v.x - p.x, v.y - p.y) <= EPS_GEOM * omega.scale
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("r", [20.5, 25.0, 352.0, 356.0, 800.0])

@@ -132,6 +132,14 @@ class TestBallCommand:
         assert code == 0
         assert json.loads(out)["ball"] == [[0.5, 0.5]]
 
+    def test_tiny_reverse_funk_ball_is_center(self, square_doc, capsys):
+        code, out, _ = run_cli(
+            capsys, "ball", "--input", square_doc, "--p=0.3,0.6", "--radius", "1e-17",
+            "--metric", "reverse_funk",
+        )
+        assert code == 0
+        assert json.loads(out)["ball"] == [[0.3, 0.6]]
+
     def test_svg_output(self, square_doc, tmp_path, capsys):
         svg_path = tmp_path / "ball.svg"
         code, _, _ = run_cli(
@@ -195,12 +203,18 @@ class TestMebCommand:
         assert bi["basis"] == []
         assert abs(lp["radius"] - bi["radius"]) <= 1e-6
 
-    def test_lp_type_for_weak_metric_exits_4(self, square_doc, capsys):
-        code, _, err = run_cli(
-            capsys, "meb", "--input", square_doc, "--metric", "funk", "--solver", "lp_type"
-        )
-        assert code == 4
-        assert err.startswith("error: usage: ")
+    def test_lp_type_for_weak_metrics(self, square_doc, capsys):
+        for metric in ("funk", "reverse_funk", "thompson"):
+            docs = []
+            for solver in ("lp_type", "bisection"):
+                code, out, _ = run_cli(
+                    capsys, "meb", "--input", square_doc, "--metric", metric, "--solver", solver
+                )
+                assert code == 0, (metric, solver)
+                docs.append(json.loads(out))
+            lp, bi = docs
+            assert lp["solver"] == "lp_type" and lp["basis"], metric
+            assert abs(lp["radius"] - bi["radius"]) <= 1e-6, metric
 
     def test_unknown_solver_exits_4(self, square_doc, capsys):
         code, _, err = run_cli(

@@ -37,7 +37,7 @@ from hilbert_geometry.sampling import (
     random_interior_point,
 )
 
-from conftest import UNIT_SQUARE, seeded, unfiltered_scan
+from conftest import UNIT_SQUARE, over_metrics, seeded, unfiltered_scan
 
 P = Point2
 SQUARE = normalize_polygon(UNIT_SQUARE)
@@ -139,8 +139,10 @@ class TestMinBallBisection:
         inst = make_instance(omega, [p, q], MetricKind.THOMPSON)
         half = thompson_distance(omega, p, q) / 2
         assert half == pytest.approx(1.4847, abs=1e-4)
-        assert min_ball_bisection(inst).value.radius == pytest.approx(1.7465, abs=1e-4)
+        radius = min_ball_bisection(inst).value.radius
+        assert radius == pytest.approx(1.7465, abs=1e-4)
         assert feasible_center_set(inst, 1.1 * half).is_empty
+        assert two_point_center(inst, p, q).radius == radius
 
     @pytest.mark.parametrize("kind", list(MetricKind))
     @pytest.mark.parametrize("seed", range(5))
@@ -193,9 +195,9 @@ class TestTwoPointCenter:
         with pytest.raises(CoincidentPoints):
             two_point_center(inst, P(0.5, 0.5), P(0.5, 0.5))
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_oracle_equivalence(self, seed):
-        inst = random_instance(3 + seed % 9, 2, MetricKind.HILBERT, seed=500 + seed)
+    @pytest.mark.parametrize("seed, kind", over_metrics(range(10)))
+    def test_oracle_equivalence(self, seed, kind):
+        inst = random_instance(3 + seed % 9, 2, kind, seed=500 + seed)
         if len(inst.points) < 2:
             pytest.skip("duplicate draw")
         a, b = inst.points
@@ -252,9 +254,9 @@ class TestThreePointValue:
         assert result.value.center.x == pytest.approx(0.5, abs=1e-12)
         assert feasible_center_set(inst, result.value.radius - EPS_RADIUS).is_empty
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_oracle_equivalence(self, seed):
-        inst = random_instance(3 + seed % 8, 3, MetricKind.HILBERT, seed=600 + seed)
+    @pytest.mark.parametrize("seed, kind", over_metrics(range(10)))
+    def test_oracle_equivalence(self, seed, kind):
+        inst = random_instance(3 + seed % 8, 3, kind, seed=600 + seed)
         if len(inst.points) < 3:
             pytest.skip("duplicate draw")
         a, b, c = inst.points
@@ -321,14 +323,16 @@ class TestLpTypeSolve:
         assert result.value.center == pytest.approx((0.5, 1 / 3), abs=1e-9)
         assert result.basis.indices == (0, 1)
 
-    def test_requires_hilbert(self):
-        inst = make_instance(SQUARE, PAIR, MetricKind.FUNK)
-        with pytest.raises(ValueError):
-            lp_type_solve(inst)
+    def test_pair_fixture_weak_metrics(self):
+        for kind in (MetricKind.FUNK, MetricKind.REVERSE_FUNK, MetricKind.THOMPSON):
+            inst = make_instance(SQUARE, PAIR, kind)
+            lp = lp_type_solve(inst)
+            assert lp.basis.indices == (0, 1)
+            assert abs(lp.value.radius - min_ball_bisection(inst).value.radius) <= 1e-6
 
-    @pytest.mark.parametrize("seed", range(30))
-    def test_oracle_equivalence_random(self, seed):
-        inst = random_instance(3 + seed % 10, 1 + seed % 12, MetricKind.HILBERT, seed=seed)
+    @pytest.mark.parametrize("seed, kind", over_metrics(range(30)))
+    def test_oracle_equivalence_random(self, seed, kind):
+        inst = random_instance(3 + seed % 10, 1 + seed % 12, kind, seed=seed)
         lp = lp_type_solve(inst)
         oracle = min_ball_bisection(inst)
         assert abs(lp.value.radius - oracle.value.radius) <= 1e-6
@@ -465,17 +469,19 @@ class TestHullPrefilter:
     """lp_type_solve scans hull candidates only and must agree bit for bit
     with the unfiltered move-to-front core over every index."""
 
-    @pytest.mark.parametrize("case", sorted(PREFILTER_CASES))
-    def test_matches_unfiltered_core(self, case):
+    @pytest.mark.parametrize("case, kind", over_metrics(sorted(PREFILTER_CASES)))
+    def test_matches_unfiltered_core(self, case, kind):
+        # Exact for every metric: each forward ball is convex, so a point
+        # strictly inside the hull of others never violates a basis.
         pts, seed = PREFILTER_CASES[case]
-        inst = make_instance(SQUARE, pts, MetricKind.HILBERT, seed=seed)
+        inst = make_instance(SQUARE, pts, kind, seed=seed)
         result = lp_type_solve(inst)
-        full, _ = unfiltered_scan(make_instance(SQUARE, pts, MetricKind.HILBERT, seed=seed))
+        full, _ = unfiltered_scan(make_instance(SQUARE, pts, kind, seed=seed))
         assert result.value.radius.hex() == full.value.radius.hex()
         assert [c.hex() for c in result.value.center] == [c.hex() for c in full.value.center]
         assert result.basis.indices == full.indices
         for x in inst.points:
-            assert hilbert_distance(SQUARE, result.value.center, x) <= (
+            assert distance(SQUARE, kind, result.value.center, x) <= (
                 result.value.radius + EPS_DIST
             )
 
@@ -502,9 +508,9 @@ class TestObjectiveF:
         with pytest.raises(EmptyInstance):
             objective_f(pair_instance(), [])
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_monotonicity_and_locality_exhaustive(self, seed):
-        inst = random_instance(3 + seed % 7, 6, MetricKind.HILBERT, seed=800 + seed)
+    @pytest.mark.parametrize("seed, kind", over_metrics(range(5)))
+    def test_monotonicity_and_locality_exhaustive(self, seed, kind):
+        inst = random_instance(3 + seed % 7, 6, kind, seed=800 + seed)
         n = len(inst.points)
         idx = tuple(range(n))
         subsets = []
@@ -547,9 +553,12 @@ class TestWeakMetricMeb:
             shrunk = feasible_center_set(inst, result.value.radius - 10 * EPS_RADIUS)
             assert shrunk.is_empty
 
+    # The pinned near-boundary Funk cases below run through both solvers.
+    SOLVERS = (min_ball_bisection, lp_type_solve)
+
     @staticmethod
     def _assert_optimal_interior(inst, result):
-        # ball() inside min_ball_bisection already required an interior center.
+        # ball() inside either solver already required an interior center.
         assert point_location(inst.omega, result.value.center) is PointLocation.INTERIOR
         for x in inst.points:
             assert distance(inst.omega, inst.kind, result.value.center, x) <= (
@@ -562,7 +571,8 @@ class TestWeakMetricMeb:
         # boundary; here the center used to land in the boundary band and
         # realizing the ball raised NotInterior.
         inst = random_instance(6, 30, MetricKind.FUNK, 77)
-        self._assert_optimal_interior(inst, min_ball_bisection(inst))
+        for solve in self.SOLVERS:
+            self._assert_optimal_interior(inst, solve(inst))
 
     def test_funk_point_between_the_band_and_the_inset(self):
         # A point 1.5 boundary bands inside: interior, but outside the
@@ -571,7 +581,8 @@ class TestWeakMetricMeb:
         pts = [(0.3, 1.5 * band), (0.6, 0.7), (0.2, 0.4)]
         inst = make_instance(SQUARE, pts, MetricKind.FUNK)
         assert len(inst.points) == 3
-        self._assert_optimal_interior(inst, min_ball_bisection(inst))
+        for solve in self.SOLVERS:
+            self._assert_optimal_interior(inst, solve(inst))
 
     def test_funk_optimum_beside_a_point_near_the_boundary(self):
         # The optimal centers reach from the left edge to 1.875 bands inside
@@ -580,9 +591,10 @@ class TestWeakMetricMeb:
         # inside need radius ln(4/3), and there the clip band admits centers
         # 1.5e-3 outside it, so the search itself must not be inset.
         inst = make_instance(SQUARE, [(1.5e-9, 0.3), (0.2, 0.2)], MetricKind.FUNK)
-        result = min_ball_bisection(inst)
-        assert result.value.radius == pytest.approx(math.log(1.25), abs=EPS_DIST)
-        self._assert_optimal_interior(inst, result)
+        for solve in self.SOLVERS:
+            result = solve(inst)
+            assert result.value.radius == pytest.approx(math.log(1.25), abs=EPS_DIST)
+            self._assert_optimal_interior(inst, result)
 
     def test_center_that_misses_a_point_is_not_returned(self):
         # The optimum sits at a vertex and the second point lies a few bands
@@ -600,11 +612,12 @@ class TestWeakMetricMeb:
             (0.5014987080127039, 0.24025315897569371),
         ]
         inst = make_instance(omega, pts, MetricKind.FUNK)
-        try:
-            result = min_ball_bisection(inst)
-        except NoFeasibleBasis:
-            return
-        for x in inst.points:
-            assert distance(omega, MetricKind.FUNK, result.value.center, x) <= (
-                result.value.radius + EPS_DIST
-            )
+        for solve in self.SOLVERS:
+            try:
+                result = solve(inst)
+            except NoFeasibleBasis:
+                continue
+            for x in inst.points:
+                assert distance(omega, MetricKind.FUNK, result.value.center, x) <= (
+                    result.value.radius + EPS_DIST
+                )
