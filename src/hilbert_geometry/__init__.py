@@ -1,8 +1,7 @@
 """Distances, metric balls, and minimum enclosing balls in the Hilbert,
 Funk, reverse-Funk, and Thompson geometries of a planar convex polygon."""
 
-from .balls import MetricBall, ball, contains, funk_ball, half_spokes, hilbert_ball
-from .balls import reverse_funk_ball, thompson_ball
+from .balls import MetricBall, ball, contains, half_spokes
 from .errors import (
     CoincidentPoints,
     Degenerate,
@@ -49,74 +48,6 @@ from .meb import (
     two_point_center,
     violation_test,
 )
-from .metrics import (
-    EPS_DIST,
-    MetricKind,
-    distance,
-    funk_distance,
-    hilbert_distance,
-    point_at_distance,
-    reverse_funk_distance,
-    thompson_distance,
-)
+from .metrics import EPS_DIST, MetricKind, distance, point_at_distance
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "EPS_DIST",
-    "EPS_GEOM",
-    "EPS_RADIUS",
-    "Basis",
-    "ChordFrame",
-    "ClipResult",
-    "CoincidentPoints",
-    "ConvexPolygon",
-    "Degenerate",
-    "EmptyInstance",
-    "EmptyRegion",
-    "GeometryError",
-    "MebInstance",
-    "MebResult",
-    "MetricBall",
-    "MetricKind",
-    "NoFeasibleBasis",
-    "NotConvex",
-    "NotInterior",
-    "ObjectiveValue",
-    "Point2",
-    "PointLocation",
-    "RegionKind",
-    "Segment2",
-    "SolveStats",
-    "Unreachable",
-    "ball",
-    "basis_computation",
-    "chord_frame",
-    "clip_convex",
-    "contains",
-    "convex_hull",
-    "distance",
-    "feasible_center_set",
-    "funk_ball",
-    "funk_distance",
-    "half_spokes",
-    "hilbert_ball",
-    "hilbert_distance",
-    "lexicographic_min",
-    "lp_type_solve",
-    "make_instance",
-    "min_ball_bisection",
-    "normalize_polygon",
-    "objective_f",
-    "orientation",
-    "point_at_distance",
-    "point_location",
-    "ray_boundary_intersection",
-    "reverse_funk_ball",
-    "reverse_funk_distance",
-    "thompson_ball",
-    "thompson_distance",
-    "three_point_value",
-    "two_point_center",
-    "violation_test",
-]

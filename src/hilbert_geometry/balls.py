@@ -172,22 +172,6 @@ def ball(omega: ConvexPolygon, kind: MetricKind, p: Point2, r: float) -> MetricB
     return MetricBall(kind, p, r, omega, _SHAPES[kind](omega, p, r))
 
 
-def funk_ball(omega: ConvexPolygon, p: Point2, r: float) -> MetricBall:
-    return ball(omega, MetricKind.FUNK, p, r)
-
-
-def reverse_funk_ball(omega: ConvexPolygon, p: Point2, r: float) -> MetricBall:
-    return ball(omega, MetricKind.REVERSE_FUNK, p, r)
-
-
-def hilbert_ball(omega: ConvexPolygon, p: Point2, r: float) -> MetricBall:
-    return ball(omega, MetricKind.HILBERT, p, r)
-
-
-def thompson_ball(omega: ConvexPolygon, p: Point2, r: float) -> MetricBall:
-    return ball(omega, MetricKind.THOMPSON, p, r)
-
-
 def contains(b: MetricBall, x: Point2, slack: float) -> bool:
     """Distance-based membership test: d(center, x) <= radius + slack.
 

@@ -236,8 +236,6 @@ def _build_parser() -> _Parser:
     def common(p: _Parser) -> None:
         p.add_argument("--input", required=True, help="instance document (JSON)")
         p.add_argument("--metric", choices=sorted(_METRIC_NAMES), default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tolerance", type=float, default=None)
 
     p_dist = sub.add_parser("distance", help="distance between two interior points")
     common(p_dist)
@@ -254,6 +252,8 @@ def _build_parser() -> _Parser:
 
     p_meb = sub.add_parser("meb", help="minimum enclosing ball of the instance points")
     common(p_meb)
+    p_meb.add_argument("--seed", type=int, default=None)
+    p_meb.add_argument("--tolerance", type=float, default=None)
     p_meb.add_argument("--solver", choices=["lp_type", "bisection"], default=None)
     p_meb.add_argument("--svg", default=None, help="write an SVG rendering here")
     p_meb.set_defaults(func=_cmd_meb)

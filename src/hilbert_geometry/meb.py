@@ -544,13 +544,11 @@ def three_point_value(
     )
     if len(sub.points) == 1:
         raise CoincidentPoints("three_point_value needs at least two distinct points")
-    return _subset_value(sub, tuple(range(len(sub.points))), SolveStats())[0]
+    return _subset_value(sub, tuple(range(len(sub.points))), SolveStats()).value
 
 
-def _subset_value(
-    instance: MebInstance, idxs: tuple[int, ...], stats: SolveStats
-) -> tuple[ObjectiveValue, tuple[int, ...]]:
-    """Exact objective of a subset of size <= 3, with its minimal support.
+def _subset_value(instance: MebInstance, idxs: tuple[int, ...], stats: SolveStats) -> Basis:
+    """Exact objective of a sorted subset of size <= 3, with its sorted minimal support.
 
     Memoized per instance: the exhaustive property suite and the LP-type
     solver both revisit the same pairs and triples many times.
@@ -561,17 +559,17 @@ def _subset_value(
         return hit
     pts = instance.points
     if len(idxs) == 1:
-        out = (ObjectiveValue(0.0, pts[idxs[0]]), idxs)
+        out = Basis(idxs, ObjectiveValue(0.0, pts[idxs[0]]))
     elif len(idxs) == 2:
-        out = (_pair_value(instance, pts[idxs[0]], pts[idxs[1]], stats), idxs)
+        out = Basis(idxs, _pair_value(instance, pts[idxs[0]], pts[idxs[1]], stats))
     else:
         triple = tuple(pts[i] for i in idxs)
         pair_values = [
-            (_subset_value(instance, (idxs[i], idxs[j]), stats)[0], (i, j))
+            (_subset_value(instance, (idxs[i], idxs[j]), stats).value, (i, j))
             for i, j in ((0, 1), (0, 2), (1, 2))
         ]
         value, local_support = _three_point_core(instance, triple, pair_values, stats)
-        out = (value, tuple(idxs[i] for i in local_support))
+        out = Basis(tuple(idxs[i] for i in local_support), value)
     instance._cache[key] = out
     return out
 
@@ -601,8 +599,7 @@ def basis_computation(
     candidates: list[tuple[int, ...]] = [(x,)]
     candidates += [tuple(sorted((i, x))) for i in old]
     candidates += [tuple(sorted((i, j, x))) for i, j in combinations(old, 2)]
-    value, support = _best_cover(instance, candidates, old + [x], stats)
-    return Basis(tuple(sorted(support)), value)
+    return _best_cover(instance, candidates, old + [x], stats)
 
 
 def _best_cover(
@@ -610,17 +607,17 @@ def _best_cover(
     candidates: Iterable[tuple[int, ...]],
     group: Sequence[int],
     stats: SolveStats,
-) -> tuple[ObjectiveValue, tuple[int, ...]]:
+) -> Basis:
     """The smallest candidate subset value whose ball covers every point of
     group, with its support; ties keep the earliest candidate."""
-    best: tuple[ObjectiveValue, tuple[int, ...]] | None = None
+    best: Basis | None = None
     pts = instance.points
     for cand in candidates:
-        value, support = _subset_value(instance, cand, stats)
-        if best is not None and not value < best[0]:
+        sub = _subset_value(instance, cand, stats)
+        if best is not None and not sub.value < best.value:
             continue
-        if all(_contains_value(instance, value, pts[i]) for i in group):
-            best = (value, support)
+        if all(_contains_value(instance, sub.value, pts[i]) for i in group):
+            best = sub
     if best is None:
         raise NoFeasibleBasis(f"no support of size <= 3 covers points {list(group)}")
     return best
@@ -706,4 +703,4 @@ def objective_f(instance: MebInstance, subset: Sequence[int]) -> ObjectiveValue:
     candidates = (
         cand for size in range(1, min(3, len(idxs)) + 1) for cand in combinations(idxs, size)
     )
-    return _best_cover(instance, candidates, idxs, SolveStats())[0]
+    return _best_cover(instance, candidates, idxs, SolveStats()).value

@@ -52,6 +52,8 @@ class MetricKind(enum.Enum):
 
 def _funk(omega: ConvexPolygon, p: Point2, q: Point2) -> float:
     front = _ray(omega, p, q.x - p.x, q.y - p.y).point
+    if front == p:  # p lies on the boundary: count q as out of reach
+        return math.inf
     return math.log(
         math.hypot(p.x - front.x, p.y - front.y)
         / math.hypot(q.x - front.x, q.y - front.y)
@@ -95,22 +97,6 @@ def _distance(omega: ConvexPolygon, kind: MetricKind, p: Point2, q: Point2) -> f
     if _coincident(omega, p, q):
         return 0.0
     return _KERNELS[kind](omega, p, q)
-
-
-def funk_distance(omega: ConvexPolygon, p: Point2, q: Point2) -> float:
-    return distance(omega, MetricKind.FUNK, p, q)
-
-
-def reverse_funk_distance(omega: ConvexPolygon, p: Point2, q: Point2) -> float:
-    return distance(omega, MetricKind.REVERSE_FUNK, p, q)
-
-
-def hilbert_distance(omega: ConvexPolygon, p: Point2, q: Point2) -> float:
-    return distance(omega, MetricKind.HILBERT, p, q)
-
-
-def thompson_distance(omega: ConvexPolygon, p: Point2, q: Point2) -> float:
-    return distance(omega, MetricKind.THOMPSON, p, q)
 
 
 def _check_radius(r: float) -> None:

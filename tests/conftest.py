@@ -83,9 +83,9 @@ def exact_thompson_sides(omega: ConvexPolygon, p: Point2, r: float) -> int:
     The ball is the intersection of the forward-Funk homothet of omega
     (ratio 1 - e^-r) and the reflected reverse-Funk homothet (ratio
     e^r - 1).  Both are rebuilt from the same float vertices, center and
-    ratios that ``thompson_ball`` uses, then intersected in ``Fraction``
-    arithmetic with no tolerance: two vertices merge only if they are
-    equal and a vertex counts only if its turn is nonzero.
+    ratios that ``ball`` uses for a Thompson ball, then intersected in
+    ``Fraction`` arithmetic with no tolerance: two vertices merge only if
+    they are equal and a vertex counts only if its turn is nonzero.
     """
     cx, cy = Fraction(p.x), Fraction(p.y)
     fwd, rev = Fraction(1.0 - math.exp(-r)), Fraction(math.exp(r) - 1.0)

@@ -19,20 +19,15 @@ from hilbert_geometry import (
     MetricKind,
     Point2,
     PointLocation,
+    ball,
     distance,
     feasible_center_set,
-    funk_distance,
-    hilbert_ball,
-    hilbert_distance,
     lp_type_solve,
     make_instance,
     min_ball_bisection,
     normalize_polygon,
     objective_f,
     point_location,
-    reverse_funk_distance,
-    thompson_ball,
-    thompson_distance,
 )
 from hilbert_geometry.sampling import (
     random_convex_polygon,
@@ -58,10 +53,10 @@ def _report(num: int, ok: bool, detail: str) -> None:
 def test_criterion_1_fixture_exactness():
     p, q = Point2(0.5, 0.5), Point2(0.75, 0.5)
     errs = {
-        "hilbert": abs(hilbert_distance(SQUARE, p, q) - 0.5 * math.log(3)),
-        "funk": abs(funk_distance(SQUARE, p, q) - math.log(2)),
-        "reverse_funk": abs(reverse_funk_distance(SQUARE, p, q) - math.log(1.5)),
-        "thompson": abs(thompson_distance(SQUARE, p, q) - math.log(2)),
+        "hilbert": abs(distance(SQUARE, MetricKind.HILBERT, p, q) - 0.5 * math.log(3)),
+        "funk": abs(distance(SQUARE, MetricKind.FUNK, p, q) - math.log(2)),
+        "reverse_funk": abs(distance(SQUARE, MetricKind.REVERSE_FUNK, p, q) - math.log(1.5)),
+        "thompson": abs(distance(SQUARE, MetricKind.THOMPSON, p, q) - math.log(2)),
     }
     worst = max(errs.values())
     _report(1, worst <= 1e-12, f"unit-square fixtures, worst error {worst:.2e} (tol 1e-12)")
@@ -171,8 +166,8 @@ def test_criterion_5_ball_complexity():
         omega = random_convex_polygon(m, rng)
         p = random_interior_point(omega, rng)
         r = rng.uniform(0.05, 2.0)
-        bh = hilbert_ball(omega, p, r)
-        bt = thompson_ball(omega, p, r)
+        bh = ball(omega, MetricKind.HILBERT, p, r)
+        bt = ball(omega, MetricKind.THOMPSON, p, r)
         if not m <= len(bh.shape) <= 2 * m:
             hilbert_bad += 1
         sides = len(bt.shape)
@@ -188,10 +183,10 @@ def test_criterion_5_ball_complexity():
         for a, b in bt.shape.edges():
             mid = Point2(0.5 * (a.x + b.x), 0.5 * (a.y + b.y))
             worst_vertex_err = max(
-                worst_vertex_err, abs(thompson_distance(omega, p, a) - r)
+                worst_vertex_err, abs(distance(omega, MetricKind.THOMPSON, p, a) - r)
             )
             worst_midpoint_err = max(
-                worst_midpoint_err, abs(thompson_distance(omega, p, mid) - r)
+                worst_midpoint_err, abs(distance(omega, MetricKind.THOMPSON, p, mid) - r)
             )
     _report(
         5,
@@ -216,9 +211,9 @@ def test_criterion_6_nesting():
         omega = random_convex_polygon(3 + seed % 10, rng)
         p = random_interior_point(omega, rng)
         r = rng.uniform(0.05, 2.0)
-        inner = hilbert_ball(omega, p, r / 2).shape
-        middle = thompson_ball(omega, p, r).shape
-        outer = hilbert_ball(omega, p, r).shape
+        inner = ball(omega, MetricKind.HILBERT, p, r / 2).shape
+        middle = ball(omega, MetricKind.THOMPSON, p, r).shape
+        outer = ball(omega, MetricKind.HILBERT, p, r).shape
         for v in inner.vertices:
             if point_location(middle, v) is PointLocation.EXTERIOR:
                 violations += 1
@@ -238,10 +233,11 @@ def test_criterion_7_projective_invariance():
         q = random_interior_point(omega, rng)
         if math.hypot(p.x - q.x, p.y - q.y) < 1e-6:
             continue
-        h = hilbert_distance(omega, p, q)
+        h = distance(omega, MetricKind.HILBERT, p, q)
         mat = random_projective_map(omega, rng)
         image = normalize_polygon([apply_projective(mat, v) for v in omega.vertices])
-        h_image = hilbert_distance(image, apply_projective(mat, p), apply_projective(mat, q))
+        image_p, image_q = apply_projective(mat, p), apply_projective(mat, q)
+        h_image = distance(image, MetricKind.HILBERT, image_p, image_q)
         err = abs(h - h_image) / (1.0 + h)
         worst = max(worst, err)
         if abs(h - h_image) > 1e-9 * (1.0 + h):

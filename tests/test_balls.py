@@ -11,13 +11,9 @@ from hilbert_geometry import (
     ball,
     contains,
     distance,
-    funk_ball,
     half_spokes,
-    hilbert_ball,
     normalize_polygon,
     point_location,
-    reverse_funk_ball,
-    thompson_ball,
 )
 from hilbert_geometry.metrics import EPS_DIST
 from hilbert_geometry.sampling import random_convex_polygon, random_interior_point
@@ -39,20 +35,20 @@ def _assert_vertices_close(poly, expected, tol=1e-12):
 
 class TestFunkBall:
     def test_homothety_fixture(self, unit_square):
-        b = funk_ball(unit_square, CENTER, math.log(2))
+        b = ball(unit_square, MetricKind.FUNK, CENTER, math.log(2))
         _assert_vertices_close(
             b.shape, [(0.25, 0.25), (0.75, 0.25), (0.75, 0.75), (0.25, 0.75)]
         )
 
     def test_zero_radius_degenerate(self, unit_square):
-        b = funk_ball(unit_square, CENTER, 0.0)
+        b = ball(unit_square, MetricKind.FUNK, CENTER, 0.0)
         assert b.shape is None
         assert b.shape_points() == (CENTER,)
 
     @pytest.mark.parametrize("r", [1.0, 5.0, 20.0, 40.0])
     def test_never_leaves_domain(self, unit_square, r):
         # Ratio 1 - e^(-r) < 1: vertices approach but never pass the domain's.
-        b = funk_ball(unit_square, P(0.3, 0.7), r)
+        b = ball(unit_square, MetricKind.FUNK, P(0.3, 0.7), r)
         for v in b.shape.vertices:
             assert point_location(unit_square, v) is not PointLocation.EXTERIOR
 
@@ -63,7 +59,7 @@ class TestFunkBall:
         p = random_interior_point(omega, rng)
         r = rng.uniform(0.05, 2.0)
         ratio = 1.0 - math.exp(-r)
-        b = funk_ball(omega, p, r)
+        b = ball(omega, MetricKind.FUNK, p, r)
         expected = [
             P(p.x + ratio * (v.x - p.x), p.y + ratio * (v.y - p.y))
             for v in omega.vertices
@@ -72,7 +68,7 @@ class TestFunkBall:
 
     def test_area_scaling_law(self, unit_square):
         r = 0.8
-        b = funk_ball(unit_square, P(0.4, 0.6), r)
+        b = ball(unit_square, MetricKind.FUNK, P(0.4, 0.6), r)
         ratio = 1.0 - math.exp(-r)
         assert b.shape.area == pytest.approx(ratio**2 * unit_square.area, rel=1e-12)
 
@@ -81,11 +77,11 @@ class TestReverseFunkBall:
     def test_fills_square_at_ln2(self, unit_square):
         # Ratio e^r - 1 = 1: the reflected square about the center is the
         # square itself, so the clipped shape is all of the domain.
-        b = reverse_funk_ball(unit_square, CENTER, math.log(2))
+        b = ball(unit_square, MetricKind.REVERSE_FUNK, CENTER, math.log(2))
         _assert_vertices_close(b.shape, [(0, 0), (1, 0), (1, 1), (0, 1)])
 
     def test_zero_radius_degenerate(self, unit_square):
-        assert reverse_funk_ball(unit_square, CENTER, 0.0).shape is None
+        assert ball(unit_square, MetricKind.REVERSE_FUNK, CENTER, 0.0).shape is None
 
     @pytest.mark.parametrize("seed", range(8))
     def test_membership_oracle(self, seed):
@@ -93,7 +89,7 @@ class TestReverseFunkBall:
         omega = random_convex_polygon(3 + seed % 8, rng)
         p = random_interior_point(omega, rng)
         r = rng.uniform(0.1, 1.5)
-        b = reverse_funk_ball(omega, p, r)
+        b = ball(omega, MetricKind.REVERSE_FUNK, p, r)
         inside = 0
         for _ in range(100):
             q = random_interior_point(omega, rng)
@@ -105,13 +101,13 @@ class TestReverseFunkBall:
 
 class TestHilbertBall:
     def test_square_center_fixture(self, unit_square):
-        b = hilbert_ball(unit_square, CENTER, 0.5 * math.log(3))
+        b = ball(unit_square, MetricKind.HILBERT, CENTER, 0.5 * math.log(3))
         _assert_vertices_close(
             b.shape, [(0.25, 0.25), (0.75, 0.25), (0.75, 0.75), (0.25, 0.75)]
         )
 
     def test_zero_radius_degenerate(self, unit_square):
-        assert hilbert_ball(unit_square, CENTER, 0.0).shape is None
+        assert ball(unit_square, MetricKind.HILBERT, CENTER, 0.0).shape is None
 
     @pytest.mark.parametrize("seed", range(25))
     def test_side_count_in_m_2m(self, seed):
@@ -120,7 +116,7 @@ class TestHilbertBall:
         omega = random_convex_polygon(m, rng)
         p = random_interior_point(omega, rng)
         r = rng.uniform(0.05, 2.0)
-        b = hilbert_ball(omega, p, r)
+        b = ball(omega, MetricKind.HILBERT, p, r)
         assert m <= len(b.shape) <= 2 * m
 
     @pytest.mark.parametrize("p", [P(0.3, 0.6), CENTER], ids=["off_diagonal", "center"])
@@ -141,13 +137,13 @@ class TestHilbertBall:
 
 class TestThompsonBall:
     def test_intersection_fixture(self, unit_square):
-        b = thompson_ball(unit_square, CENTER, math.log(2))
+        b = ball(unit_square, MetricKind.THOMPSON, CENTER, math.log(2))
         _assert_vertices_close(
             b.shape, [(0.25, 0.25), (0.75, 0.25), (0.75, 0.75), (0.25, 0.75)]
         )
 
     def test_zero_radius_degenerate(self, unit_square):
-        assert thompson_ball(unit_square, CENTER, 0.0).shape is None
+        assert ball(unit_square, MetricKind.THOMPSON, CENTER, 0.0).shape is None
 
     @pytest.mark.parametrize("seed", range(25))
     def test_side_count_upper_bound(self, seed):
@@ -158,7 +154,7 @@ class TestThompsonBall:
         omega = random_convex_polygon(m, rng)
         p = random_interior_point(omega, rng)
         r = rng.uniform(0.05, 2.0)
-        b = thompson_ball(omega, p, r)
+        b = ball(omega, MetricKind.THOMPSON, p, r)
         assert 3 <= len(b.shape) <= 2 * m
 
     def test_side_count_can_drop_below_m(self):
@@ -169,7 +165,7 @@ class TestThompsonBall:
         omega = random_convex_polygon(10, rng)
         p = random_interior_point(omega, rng)
         r = rng.uniform(0.05, 2.0)
-        b = thompson_ball(omega, p, r)
+        b = ball(omega, MetricKind.THOMPSON, p, r)
         assert len(b.shape) == 9
         # The exact-rational intersection agrees: no tolerance merge made 9.
         assert exact_thompson_sides(omega, p, r) == 9
@@ -192,16 +188,16 @@ class TestBallDispatchAndContains:
             ball(unit_square, kind, P(3, 3), 1.0)
 
     def test_contains_center(self, unit_square):
-        b = hilbert_ball(unit_square, CENTER, 0.5)
+        b = ball(unit_square, MetricKind.HILBERT, CENTER, 0.5)
         assert contains(b, CENTER, 0.0)
 
     def test_contains_boundary_point(self, unit_square):
-        b = hilbert_ball(unit_square, CENTER, 0.5 * math.log(3))
+        b = ball(unit_square, MetricKind.HILBERT, CENTER, 0.5 * math.log(3))
         assert contains(b, P(0.75, 0.5), EPS_DIST)
 
     def test_rejects_outside_point(self, unit_square):
         # H(center, (0.9, 0.5)) = 0.5 ln((0.9/0.5)(0.5/0.1)) = ln 3 > r.
-        b = hilbert_ball(unit_square, CENTER, 0.5 * math.log(3))
+        b = ball(unit_square, MetricKind.HILBERT, CENTER, 0.5 * math.log(3))
         assert not contains(b, P(0.9, 0.5), EPS_DIST)
         assert distance(unit_square, MetricKind.HILBERT, CENTER, P(0.9, 0.5)) == (
             pytest.approx(math.log(3), abs=1e-12)
@@ -278,9 +274,9 @@ class TestNestingAndMonotonicity:
         omega = random_convex_polygon(3 + seed % 9, rng)
         p = random_interior_point(omega, rng)
         r = rng.uniform(0.1, 2.0)
-        inner = hilbert_ball(omega, p, r / 2).shape
-        middle = thompson_ball(omega, p, r).shape
-        outer = hilbert_ball(omega, p, r).shape
+        inner = ball(omega, MetricKind.HILBERT, p, r / 2).shape
+        middle = ball(omega, MetricKind.THOMPSON, p, r).shape
+        outer = ball(omega, MetricKind.HILBERT, p, r).shape
         for v in inner.vertices:
             assert point_location(middle, v) is not PointLocation.EXTERIOR
         for v in middle.vertices:

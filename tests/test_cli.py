@@ -279,6 +279,20 @@ class TestUsageErrors:
         assert (code, out) == (4, "")
         assert err.startswith("error: usage: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["distance", "--p", "0.5,0.5", "--q", "0.75,0.5", "--seed", "1"],
+            ["ball", "--p", "0.5,0.5", "--radius", "0.5", "--tolerance", "1e-9"],
+        ],
+        ids=["distance-seed", "ball-tolerance"],
+    )
+    def test_meb_only_options_exit_4(self, square_doc, capsys, argv):
+        # --seed and --tolerance steer the MEB solvers and nothing else.
+        code, out, err = run_cli(capsys, argv[0], "--input", square_doc, *argv[1:])
+        assert (code, out) == (4, "")
+        assert err.startswith("error: usage: ")
+
 
 class TestNonFiniteInput:
     """Non-finite numbers are parse errors (2); a bad radius is usage (4)."""

@@ -16,19 +16,11 @@ from hilbert_geometry import (
     chord_frame,
     contains,
     distance,
-    funk_ball,
-    funk_distance,
     half_spokes,
-    hilbert_ball,
-    hilbert_distance,
     make_instance,
     normalize_polygon,
     point_at_distance,
     ray_boundary_intersection,
-    reverse_funk_ball,
-    reverse_funk_distance,
-    thompson_ball,
-    thompson_distance,
     three_point_value,
     two_point_center,
 )
@@ -52,16 +44,8 @@ def _instance():
 ENTRY_POINTS = {
     "distance/p": lambda x: distance(SQUARE, H, x, GOOD),
     "distance/q": lambda x: distance(SQUARE, MetricKind.REVERSE_FUNK, GOOD, x),
-    "funk_distance": lambda x: funk_distance(SQUARE, x, GOOD),
-    "reverse_funk_distance": lambda x: reverse_funk_distance(SQUARE, GOOD, x),
-    "hilbert_distance": lambda x: hilbert_distance(SQUARE, x, GOOD),
-    "thompson_distance": lambda x: thompson_distance(SQUARE, GOOD, x),
     "ball": lambda x: ball(SQUARE, MetricKind.THOMPSON, x, 0.5),
-    "funk_ball": lambda x: funk_ball(SQUARE, x, 0.5),
-    "reverse_funk_ball": lambda x: reverse_funk_ball(SQUARE, x, 0.5),
-    "hilbert_ball": lambda x: hilbert_ball(SQUARE, x, 0.5),
-    "thompson_ball": lambda x: thompson_ball(SQUARE, x, 0.5),
-    "contains": lambda x: contains(hilbert_ball(SQUARE, GOOD, 0.5), x, 0.0),
+    "contains": lambda x: contains(ball(SQUARE, H, GOOD, 0.5), x, 0.0),
     "point_at_distance": lambda x: point_at_distance(SQUARE, H, x, (1.0, 0.0), 0.5),
     "ray_boundary_intersection": lambda x: ray_boundary_intersection(SQUARE, x, (1.0, 0.0)),
     "chord_frame/p": lambda x: chord_frame(SQUARE, x, GOOD),
@@ -72,6 +56,11 @@ ENTRY_POINTS = {
     "two_point_center/q": lambda x: two_point_center(_instance(), GOOD, x),
     "three_point_value": lambda x: three_point_value(_instance(), GOOD, OTHER, x),
 }
+# distance, with x as either point, and ball for every metric.
+for kind in MetricKind:
+    ENTRY_POINTS[f"{kind.value}_distance"] = lambda x, k=kind: distance(SQUARE, k, x, GOOD)
+    ENTRY_POINTS[f"{kind.value}_distance/q"] = lambda x, k=kind: distance(SQUARE, k, GOOD, x)
+    ENTRY_POINTS[f"{kind.value}_ball"] = lambda x, k=kind: ball(SQUARE, k, x, 0.5)
 
 
 @pytest.mark.parametrize("bad", sorted(BAD_POINTS))

@@ -38,7 +38,6 @@ from hilbert_geometry import (
     Point2,
     ball,
     distance,
-    hilbert_ball,
     lp_type_solve,
     make_instance,
     min_ball_bisection,
@@ -238,8 +237,8 @@ class TestTranslatedUnitSquare:
 
     def test_hilbert_ball_keeps_its_vertices(self):
         t = 1e4
-        want = hilbert_ball(_square_at(0.0), P(0.3, 0.6), 0.4).shape_points()
-        got = hilbert_ball(_square_at(t), P(0.3 + t, 0.6 + t), 0.4).shape_points()
+        want = ball(_square_at(0.0), MetricKind.HILBERT, P(0.3, 0.6), 0.4).shape_points()
+        got = ball(_square_at(t), MetricKind.HILBERT, P(0.3 + t, 0.6 + t), 0.4).shape_points()
         assert len(want) == len(got) == 8
         assert _same_cycle([(v.x - t, v.y - t) for v in got], want, 1e-9)
 

@@ -17,14 +17,12 @@ from hilbert_geometry import (
     basis_computation,
     distance,
     feasible_center_set,
-    hilbert_distance,
     lp_type_solve,
     make_instance,
     min_ball_bisection,
     normalize_polygon,
     objective_f,
     point_location,
-    thompson_distance,
     three_point_value,
     two_point_center,
     violation_test,
@@ -137,7 +135,7 @@ class TestMinBallBisection:
         omega = random_convex_polygon(3 + 50 % 10, rng)
         p, q = random_interior_point(omega, rng), random_interior_point(omega, rng)
         inst = make_instance(omega, [p, q], MetricKind.THOMPSON)
-        half = thompson_distance(omega, p, q) / 2
+        half = distance(omega, MetricKind.THOMPSON, p, q) / 2
         assert half == pytest.approx(1.4847, abs=1e-4)
         radius = min_ball_bisection(inst).value.radius
         assert radius == pytest.approx(1.7465, abs=1e-4)
@@ -167,17 +165,17 @@ class TestTwoPointCenter:
         inst = pair_instance()
         value = two_point_center(inst, P(*PAIR[0]), P(*PAIR[1]))
         for pt in PAIR:
-            d = hilbert_distance(SQUARE, value.center, P(*pt))
+            d = distance(SQUARE, MetricKind.HILBERT, value.center, P(*pt))
             assert d == pytest.approx(value.radius, abs=EPS_DIST)
 
     def test_diagonal_pair_cross_check(self):
         a, b = P(0.3, 0.3), P(0.7, 0.7)
         inst = make_instance(SQUARE, [a, b], MetricKind.HILBERT)
         value = two_point_center(inst, a, b)
-        assert hilbert_distance(SQUARE, value.center, a) == pytest.approx(
+        assert distance(SQUARE, MetricKind.HILBERT, value.center, a) == pytest.approx(
             value.radius, abs=EPS_DIST
         )
-        assert hilbert_distance(SQUARE, value.center, b) == pytest.approx(
+        assert distance(SQUARE, MetricKind.HILBERT, value.center, b) == pytest.approx(
             value.radius, abs=EPS_DIST
         )
         oracle = min_ball_bisection(inst)
@@ -188,7 +186,7 @@ class TestTwoPointCenter:
         inst = random_instance(7, 2, MetricKind.HILBERT, seed=21)
         a, b = inst.points
         value = two_point_center(inst, a, b)
-        assert value.radius >= hilbert_distance(inst.omega, a, b) / 2 - EPS_DIST
+        assert value.radius >= distance(inst.omega, MetricKind.HILBERT, a, b) / 2 - EPS_DIST
 
     def test_coincident_rejected(self):
         inst = pair_instance()
@@ -229,13 +227,11 @@ class TestThreePointValue:
         pts = [P(0.5, 0.8), P(0.2, 0.2), P(0.8, 0.2)]
         inst = make_instance(SQUARE, pts, MetricKind.HILBERT)
         value = three_point_value(inst, *pts)
-        supported = sum(
-            abs(hilbert_distance(SQUARE, value.center, p) - value.radius) <= EPS_DIST
-            for p in pts
-        )
+        dists = [distance(SQUARE, MetricKind.HILBERT, value.center, p) for p in pts]
+        supported = sum(abs(d - value.radius) <= EPS_DIST for d in dists)
         assert supported >= 2  # two-support or full three-support optimum
-        for p in pts:
-            assert hilbert_distance(SQUARE, value.center, p) <= value.radius + EPS_DIST
+        for d in dists:
+            assert d <= value.radius + EPS_DIST
 
     def test_larger_ball_is_a_certified_root(self):
         # All three points support a ball larger than any pair's: the radius
@@ -248,9 +244,8 @@ class TestThreePointValue:
         assert result.stats.case3_fallbacks == 0
         assert result.stats.bisection_iterations < 10
         for p in pts:
-            assert hilbert_distance(SQUARE, result.value.center, p) == pytest.approx(
-                result.value.radius, abs=1e-12
-            )
+            d = distance(SQUARE, MetricKind.HILBERT, result.value.center, p)
+            assert d == pytest.approx(result.value.radius, abs=1e-12)
         assert result.value.center.x == pytest.approx(0.5, abs=1e-12)
         assert feasible_center_set(inst, result.value.radius - EPS_RADIUS).is_empty
 
@@ -300,7 +295,7 @@ class TestViolationAndBasis:
         assert 2 <= len(grown.indices) <= 3
         assert grown.value >= basis.value
         for i in range(3):
-            d = hilbert_distance(SQUARE, grown.value.center, inst.points[i])
+            d = distance(SQUARE, MetricKind.HILBERT, grown.value.center, inst.points[i])
             assert d <= grown.value.radius + EPS_DIST
 
     def test_contained_point_leaves_basis_unchanged(self):
@@ -349,7 +344,7 @@ class TestLpTypeSolve:
         assert 1 <= len(basis.indices) <= 3
         # Support condition: every basis point sits on the ball boundary.
         for i in basis.indices:
-            d = hilbert_distance(inst.omega, basis.value.center, inst.points[i])
+            d = distance(inst.omega, MetricKind.HILBERT, basis.value.center, inst.points[i])
             assert d == pytest.approx(basis.value.radius, abs=EPS_DIST)
         # Minimality: dropping any basis point strictly shrinks the objective.
         if len(basis.indices) > 1:
@@ -434,7 +429,7 @@ class TestClipBandIsADistance:
         inst = make_instance(omega, pts, MetricKind.HILBERT)
         result = lp_type_solve(inst)
         for x in inst.points:
-            assert hilbert_distance(omega, result.value.center, x) <= (
+            assert distance(omega, MetricKind.HILBERT, result.value.center, x) <= (
                 result.value.radius + EPS_DIST
             )
 
@@ -595,6 +590,33 @@ class TestWeakMetricMeb:
             result = solve(inst)
             assert result.value.radius == pytest.approx(math.log(1.25), abs=EPS_DIST)
             self._assert_optimal_interior(inst, result)
+
+    def test_boundary_subset_center_does_not_raise_a_math_error(self):
+        # Seed 127 of a near-boundary recipe: each point is interior or a
+        # few boundary bands inside an edge.  A pair's Funk center lands on
+        # the boundary, where the ray toward a point meets it at the center
+        # itself; the cover test there once raised "math domain error".
+        rng = seeded(127)
+        omega = random_convex_polygon(10, rng)
+        pts = []
+        for _ in range(rng.randint(2, 5)):
+            if rng.random() < 0.5:
+                pts.append(random_interior_point(omega, rng))
+                continue
+            k = rng.randrange(10)
+            a, b = omega.vertices[k], omega.vertices[(k + 1) % 10]
+            t = rng.uniform(0.05, 0.95)
+            dx, dy, length = b.x - a.x, b.y - a.y, math.hypot(b.x - a.x, b.y - a.y)
+            d = rng.uniform(0.5, 4) * EPS_GEOM * omega.scale
+            pts.append(P(a.x + t * dx - d * dy / length, a.y + t * dy + d * dx / length))
+        inst = make_instance(omega, pts, MetricKind.FUNK)
+        assert len(inst.points) == 5
+        self._assert_optimal_interior(inst, min_ball_bisection(inst))
+        try:
+            result = lp_type_solve(inst)
+        except NoFeasibleBasis:
+            return
+        self._assert_optimal_interior(inst, result)
 
     def test_center_that_misses_a_point_is_not_returned(self):
         # The optimum sits at a vertex and the second point lies a few bands

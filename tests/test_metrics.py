@@ -10,13 +10,9 @@ from hilbert_geometry import (
     Point2,
     Unreachable,
     distance,
-    funk_distance,
-    hilbert_distance,
     normalize_polygon,
     point_at_distance,
     ray_boundary_intersection,
-    reverse_funk_distance,
-    thompson_distance,
 )
 from hilbert_geometry.metrics import EPS_DIST
 from hilbert_geometry.sampling import random_convex_polygon, random_interior_point
@@ -37,39 +33,37 @@ class TestFixtures:
     """Hand-computed values on the unit square (chord [0,1] x {0.5})."""
 
     def test_funk(self, unit_square):
-        assert funk_distance(unit_square, CENTER, RIGHT) == pytest.approx(
+        assert distance(unit_square, MetricKind.FUNK, CENTER, RIGHT) == pytest.approx(
             math.log(2), abs=1e-15
         )
 
     def test_funk_reversed_arguments(self, unit_square):
-        assert funk_distance(unit_square, RIGHT, CENTER) == pytest.approx(
+        assert distance(unit_square, MetricKind.FUNK, RIGHT, CENTER) == pytest.approx(
             math.log(1.5), abs=1e-15
         )
 
     def test_reverse_funk(self, unit_square):
-        assert reverse_funk_distance(unit_square, CENTER, RIGHT) == pytest.approx(
+        assert distance(unit_square, MetricKind.REVERSE_FUNK, CENTER, RIGHT) == pytest.approx(
             math.log(1.5), abs=1e-15
         )
 
     def test_hilbert(self, unit_square):
-        assert hilbert_distance(unit_square, CENTER, RIGHT) == pytest.approx(
+        assert distance(unit_square, MetricKind.HILBERT, CENTER, RIGHT) == pytest.approx(
             0.5 * math.log(3), abs=1e-15
         )
 
     def test_hilbert_symmetric_pair(self, unit_square):
-        assert hilbert_distance(unit_square, P(0.25, 0.5), P(0.75, 0.5)) == pytest.approx(
-            math.log(3), abs=1e-15
-        )
+        d = distance(unit_square, MetricKind.HILBERT, P(0.25, 0.5), P(0.75, 0.5))
+        assert d == pytest.approx(math.log(3), abs=1e-15)
 
     def test_thompson(self, unit_square):
-        assert thompson_distance(unit_square, CENTER, RIGHT) == pytest.approx(
+        assert distance(unit_square, MetricKind.THOMPSON, CENTER, RIGHT) == pytest.approx(
             math.log(2), abs=1e-15
         )
 
     def test_thompson_symmetric_pair(self, unit_square):
-        assert thompson_distance(unit_square, P(0.25, 0.5), P(0.75, 0.5)) == pytest.approx(
-            math.log(3), abs=1e-15
-        )
+        d = distance(unit_square, MetricKind.THOMPSON, P(0.25, 0.5), P(0.75, 0.5))
+        assert d == pytest.approx(math.log(3), abs=1e-15)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_identity(self, unit_square, kind):
@@ -85,11 +79,11 @@ class TestCompositionIdentities:
     @given(p=interior_point, q=interior_point)
     @settings(max_examples=60, deadline=None)
     def test_on_unit_square(self, p, q):
-        f = funk_distance(SQUARE, p, q)
-        rf = reverse_funk_distance(SQUARE, p, q)
-        h = hilbert_distance(SQUARE, p, q)
-        t = thompson_distance(SQUARE, p, q)
-        assert rf == funk_distance(SQUARE, q, p)
+        f = distance(SQUARE, MetricKind.FUNK, p, q)
+        rf = distance(SQUARE, MetricKind.REVERSE_FUNK, p, q)
+        h = distance(SQUARE, MetricKind.HILBERT, p, q)
+        t = distance(SQUARE, MetricKind.THOMPSON, p, q)
+        assert rf == distance(SQUARE, MetricKind.FUNK, q, p)
         assert h == pytest.approx((f + rf) / 2, abs=EPS_DIST)
         assert t == pytest.approx(max(f, rf), abs=EPS_DIST)
 
@@ -99,10 +93,12 @@ class TestCompositionIdentities:
         omega = random_convex_polygon(3 + seed % 9, rng)
         p = random_interior_point(omega, rng)
         q = random_interior_point(omega, rng)
-        f = funk_distance(omega, p, q)
-        rf = reverse_funk_distance(omega, p, q)
-        assert hilbert_distance(omega, p, q) == pytest.approx((f + rf) / 2, abs=EPS_DIST)
-        assert thompson_distance(omega, p, q) == pytest.approx(max(f, rf), abs=EPS_DIST)
+        f = distance(omega, MetricKind.FUNK, p, q)
+        rf = distance(omega, MetricKind.REVERSE_FUNK, p, q)
+        h = distance(omega, MetricKind.HILBERT, p, q)
+        t = distance(omega, MetricKind.THOMPSON, p, q)
+        assert h == pytest.approx((f + rf) / 2, abs=EPS_DIST)
+        assert t == pytest.approx(max(f, rf), abs=EPS_DIST)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_symmetry_of_symmetric_kinds(self, seed):
@@ -230,8 +226,9 @@ class TestProjectiveInvariance:
         q = random_interior_point(omega, rng)
         if math.hypot(p.x - q.x, p.y - q.y) < 1e-6:
             pytest.skip("degenerate draw")
-        h = hilbert_distance(omega, p, q)
+        h = distance(omega, MetricKind.HILBERT, p, q)
         mat = random_projective_map(omega, rng)
         image = normalize_polygon([apply_projective(mat, v) for v in omega.vertices])
-        h_image = hilbert_distance(image, apply_projective(mat, p), apply_projective(mat, q))
+        image_p, image_q = apply_projective(mat, p), apply_projective(mat, q)
+        h_image = distance(image, MetricKind.HILBERT, image_p, image_q)
         assert abs(h - h_image) <= 1e-9 * (1 + h)
