@@ -9,10 +9,12 @@ Two solvers share one objective:
   region, used as the reference oracle for the LP-type path.
 
 Both serve all four metrics.  Hilbert pairs take the closed-form radius d/2;
-other pairs are bisected.  Hilbert three-point bases larger than any pair
-(case 3 of ``_three_point_core``) bisect only until the three ball edges
-meeting at the optimum are known, then take a certified sign-change root
-for the radius where they concur; without one, the bisection result stands.
+other pairs are bisected.  Three-point bases larger than any pair (case 3 of
+``_three_point_core``) bisect up from the largest pair radius, to the least
+radius at which a pair's center covers the third point.  Hilbert ones stop
+once the three ball edges meeting at the optimum are known, then take a
+certified sign-change root for the radius where they concur; without one,
+the bisection result stands.
 
 The objective value is the pair (radius, center) under lexicographic order
 (radius, then center.x, then center.y), which makes the optimum unique even
@@ -29,6 +31,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -90,7 +93,12 @@ class SolveStats:
     violation_tests: int = 0
     basis_computations: int = 0
     bisection_iterations: int = 0  # one per halving of a radius bracket
-    case3_fallbacks: int = 0  # case-3 triples left to plain bisection
+    # Three-point values by case of _three_point_core; each triple solved
+    # counts in exactly one of the four.
+    case1_pairs: int = 0  # the largest pair's ball covers the third point
+    case2_ties: int = 0  # a center at the largest pair radius covers all three
+    case3_roots: int = 0  # Hilbert: radius from the certified concurrency root
+    case3_fallbacks: int = 0  # radius left to plain bisection (every non-Hilbert case 3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,18 +266,25 @@ def _solve_bisection(
     stats: SolveStats,
     r_lo: float | None = None,
     polish: Polish | None = None,
+    r_hi: float | None = None,
 ) -> ObjectiveValue:
+    """Least radius over pts by bisection, with the lexicographically least
+    center.  The bracket's upper end is r_hi if its region is nonempty,
+    else reach + 1 (r_hi needs r_lo)."""
     if len(pts) == 1:
         return ObjectiveValue(0.0, pts[0])
     omega, kind = instance.omega, instance.kind
-    x0 = pts[0]
-    reach = max(_distance(omega, kind, x0, x) for x in pts[1:])
-    if r_lo is None:
-        # A Hilbert ball holding x0 and x has radius >= d(x0, x) / 2.
-        r_lo = reach / 2.0 if kind is MetricKind.HILBERT else 0.0
-    r, chain = _least_radius(
-        lambda s: _feasible_chain(instance, pts, s), r_lo, reach + 1.0, instance, stats, polish
-    )
+    region = partial(_feasible_chain, instance, pts)
+    chain: list[Point2] = []
+    if r_hi is not None:
+        r, chain = _least_radius(region, r_lo, r_hi, instance, stats, polish)
+    if not chain:
+        x0 = pts[0]
+        reach = max(_distance(omega, kind, x0, x) for x in pts[1:])
+        if r_lo is None:
+            # A Hilbert ball holding x0 and x has radius >= d(x0, x) / 2.
+            r_lo = reach / 2.0 if kind is MetricKind.HILBERT else 0.0
+        r, chain = _least_radius(region, r_lo, reach + 1.0, instance, stats, polish)
     if not chain:
         raise NoFeasibleBasis("bisection terminated on an empty center region")
     center = lexicographic_min(classify_region(chain, omega.scale))
@@ -345,14 +360,20 @@ def _pair_value(
     return ObjectiveValue(r_star, center)
 
 
-def _tangent_chain(r: float, clip: Callable[[float], list[Point2]]) -> list[Point2]:
+TOP_BUMP = 1.0 + 1e-10
+
+
+def _tangent_chain(
+    r: float, clip: Callable[[float], list[Point2]], top: list[Point2] | None = None
+) -> list[Point2]:
     """The first nonempty clip(r * bump), inflating r by at most 1e-10 relative
-    (well inside the support tolerance) when rounding splits tangent regions."""
-    for bump in (1.0, 1.0 + 1e-12, 1.0 + 1e-10):
+    (well inside the support tolerance) when rounding splits tangent regions.
+    top, if given, is clip(r * TOP_BUMP), already in hand."""
+    for bump in (1.0, 1.0 + 1e-12):
         chain = clip(r * bump)
         if chain:
             return chain
-    return []
+    return top if top is not None else clip(r * TOP_BUMP)
 
 
 def _contains_value(
@@ -380,12 +401,16 @@ def _three_point_core(
     2. some other center at radius exactly R covers all three: the radius
        ties the pair's bitwise, only the center moves (support = all three).
        Evaluating this exactly instead of by bisection keeps the objective
-       monotone under exact comparison;
+       monotone under exact comparison.  One region pass at the top bump
+       of the ``_tangent_chain`` ladder decides it, since the smaller bumps
+       give smaller regions; only a tie climbs the ladder for its center;
     3. otherwise all three points support a strictly larger ball, bisected
-       from R up.  For Hilbert, bisection runs only until the three ball
-       edges meeting at the optimum are known, then their concurrency radius
-       is solved (``_ConcurrentEdges``); without a certified root the
-       bisection result stands and ``case3_fallbacks`` counts it.
+       from R up to the least radius at which some pair's center covers
+       the third point (reach + 1 if that region comes back empty).  For
+       Hilbert, bisection runs only until the three ball edges meeting at
+       the optimum are known, then their concurrency radius is solved
+       (``_ConcurrentEdges``); without a certified root the bisection
+       result stands and ``case3_fallbacks`` counts it.
     """
     r_max = max(v.radius for v, _ in pair_values)
     best: tuple[ObjectiveValue, tuple[int, ...]] | None = None
@@ -395,16 +420,32 @@ def _three_point_core(
             if _contains_value(instance, v, third) and (best is None or v < best[0]):
                 best = (v, (i, j))
     if best is not None:
+        stats.case1_pairs += 1
         return best
-    chain = _tangent_chain(r_max, lambda r: _feasible_chain(instance, pts, r))
-    if chain:
-        center = lexicographic_min(classify_region(chain, instance.omega.scale))
+    omega, kind = instance.omega, instance.kind
+    region = partial(_feasible_chain, instance, pts)
+    top = region(r_max * TOP_BUMP)
+    if top:
+        stats.case2_ties += 1
+        chain = _tangent_chain(r_max, region, top)
+        center = lexicographic_min(classify_region(chain, omega.scale))
         return (ObjectiveValue(r_max, center), (0, 1, 2))
-    if instance.kind is not MetricKind.HILBERT:
-        return (_solve_bisection(instance, pts, stats, r_lo=r_max), (0, 1, 2))
-    edges = _ConcurrentEdges(instance, pts)
-    value = _solve_bisection(instance, pts, stats, r_lo=r_max, polish=edges)
-    if not edges.solved:
+    # Each pair's center covers all three points at this radius (measured
+    # from the center, as _contains_value does); the clamp to r_max keeps
+    # the bracket ordered when a pair covers the third point only within
+    # EPS_DIST.
+    cover = min(
+        max(v.radius, _distance(omega, kind, v.center, pts[3 - i - j]))
+        for v, (i, j) in pair_values
+    )
+    r_hi = max(r_max, cover) * (1.0 + 1e-9)
+    edges = _ConcurrentEdges(instance, pts) if kind is MetricKind.HILBERT else None
+    value = _solve_bisection(
+        instance, pts, stats, r_lo=r_max, polish=edges, r_hi=r_hi if math.isfinite(r_hi) else None
+    )
+    if edges is not None and edges.solved:
+        stats.case3_roots += 1
+    else:
         stats.case3_fallbacks += 1
     return (value, (0, 1, 2))
 

@@ -1,5 +1,6 @@
-"""Invariance under translation, uniform scaling and rotation (extends
-criterion 7, which covers projective maps of the Hilbert distance).
+"""Invariance under translation, uniform scaling, rotation and general
+affine maps (extends criterion 7, which covers projective maps of the
+Hilbert distance).
 
 All four metrics depend only on the polygon up to these maps, so every
 answer must move with the map.  The kernel's tolerance unit,
@@ -24,6 +25,8 @@ spacing at the largest coordinate divided by ``scale``:
 Rotation changes the bounding box, so it moves every tolerance band by up
 to a factor sqrt(2) and with it any answer a band decides, such as a Funk
 center held off the boundary; a rotated MEB radius must agree to EPS_DIST.
+A shear or stretch moves the bands and the gaps as well; its MEB radius
+is held to the larger of the two frames' radius tolerances.
 """
 
 import math
@@ -124,11 +127,7 @@ def _check_balls(omega, c, image, image_c, back, r, u):
         assert _same_cycle(got, want, tol), kind
 
 
-def _solves(kind):
-    out = [min_ball_bisection]
-    if kind is MetricKind.HILBERT:
-        out.append(lp_type_solve)
-    return out
+SOLVERS = (min_ball_bisection, lp_type_solve)
 
 
 def _radius_tol(omega, pts, u):
@@ -138,7 +137,7 @@ def _radius_tol(omega, pts, u):
 def _check_meb(omega, pts, image, image_pts, kind, back, radius_tol, seed):
     inst = make_instance(omega, pts, kind, seed=seed)
     moved = make_instance(image, image_pts, kind, seed=seed)
-    for solve in _solves(kind):
+    for solve in SOLVERS:
         want, got = solve(inst).value, solve(moved).value
         assert abs(got.radius - want.radius) <= radius_tol
         center = P(*back(got.center))
@@ -221,6 +220,25 @@ class TestRotation:
         fwd, back = _rotation(angle)
         image, image_pts = _image(omega, pts, fwd)
         _check_meb(omega, pts, image, image_pts, kind, back, EPS_DIST, seed)
+
+
+class TestAffine:
+    """x' = x + s*y, y' = k*y: a shear and a stretch.  Every distance is a
+    ratio of collinear lengths, so the MEB radius is affine-invariant."""
+
+    @given(seed=seeds, n=st.integers(2, 7), kind=kinds, s=st.floats(-2.0, 2.0),
+           k=st.floats(0.2, 5.0))
+    @PROPERTY
+    def test_meb(self, seed, n, kind, s, k):
+        omega, pts = _drawn(seed, n)
+        image, image_pts = _image(omega, pts, lambda p: (p[0] + s * p[1], k * p[1]))
+        back = lambda p: (p[0] - s * p[1] / k, p[1] / k)  # noqa: E731
+        # Each frame rounds at its own spacing, relative to its own scale.
+        tol = max(
+            _radius_tol(omega, pts, _u(omega)),
+            _radius_tol(image, image_pts, _u(image)),
+        )
+        _check_meb(omega, pts, image, image_pts, kind, back, tol, seed)
 
 
 def _square_at(t):

@@ -27,7 +27,17 @@ from hilbert_geometry import (
     two_point_center,
     violation_test,
 )
-from hilbert_geometry.meb import EPS_RADIUS, MAX_BISECTION_ITERATIONS, _hull_candidates
+from hilbert_geometry import meb
+from hilbert_geometry.meb import (
+    EPS_RADIUS,
+    MAX_BISECTION_ITERATIONS,
+    TOP_BUMP,
+    SolveStats,
+    _ConcurrentEdges,
+    _hull_candidates,
+    _solve_bisection,
+    _subset_value,
+)
 from hilbert_geometry.metrics import EPS_DIST
 from hilbert_geometry.sampling import (
     random_convex_polygon,
@@ -258,6 +268,75 @@ class TestThreePointValue:
         value = three_point_value(inst, a, b, c)
         oracle = min_ball_bisection(inst)
         assert value.radius == pytest.approx(oracle.value.radius, abs=1e-6)
+
+
+# Case 3 in every metric: neither a pair's own ball nor any center at the
+# largest pair radius covers all three points.
+PENTAGON = normalize_polygon([(0, 0), (1, 0), (1.2, 0.7), (0.5, 1.1), (-0.2, 0.6)])
+CASE3_TRIPLE = [(0.3, 0.9), (0.04, 0.11), (0.84, 0.21)]
+FEASIBLE_CHAIN = meb._feasible_chain
+
+
+def _case3_with_pairs_cached(kind):
+    """The case-3 instance with its pair values cached, so that every
+    later region pass belongs to the triple; also the largest pair radius."""
+    inst = make_instance(PENTAGON, CASE3_TRIPLE, kind)
+    pairs = ((0, 1), (0, 2), (1, 2))
+    return inst, max(_subset_value(inst, p, SolveStats()).value.radius for p in pairs)
+
+
+class TestThreePointPasses:
+    """Case 2 is decided by one region pass; case 3 brackets from the pair
+    centers and falls back to reach + 1 if that region is empty."""
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_case3_triple_makes_one_tie_pass(self, monkeypatch, kind):
+        inst, r_max = _case3_with_pairs_cached(kind)
+        radii = []
+
+        def spy(instance, pts, r):
+            radii.append(r)
+            return FEASIBLE_CHAIN(instance, pts, r)
+
+        monkeypatch.setattr(meb, "_feasible_chain", spy)
+        stats = SolveStats()
+        basis = _subset_value(inst, (0, 1, 2), stats)
+        assert basis.indices == (0, 1, 2)
+        assert basis.value.radius > r_max * TOP_BUMP
+        # Case-3 probes all lie above the tie ladder; the ladder ran once, at its top.
+        assert [r for r in radii if r <= r_max * TOP_BUMP] == [r_max * TOP_BUMP]
+        hilbert = kind is MetricKind.HILBERT
+        assert (stats.case3_roots, stats.case3_fallbacks) == ((1, 0) if hilbert else (0, 1))
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_empty_tight_region_falls_back_to_reach_bracket(self, monkeypatch, kind):
+        inst, r_max = _case3_with_pairs_cached(kind)
+        # The value of a bisection from r_max up to reach + 1 alone.
+        polish = _ConcurrentEdges(inst, inst.points) if kind is MetricKind.HILBERT else None
+        want = _solve_bisection(inst, inst.points, SolveStats(), r_lo=r_max, polish=polish)
+        emptied = []
+
+        def tight_region_empty(instance, pts, r):
+            if r > r_max * TOP_BUMP and not emptied:
+                emptied.append(r)
+                return []
+            return FEASIBLE_CHAIN(instance, pts, r)
+
+        monkeypatch.setattr(meb, "_feasible_chain", tight_region_empty)
+        basis = _subset_value(inst, (0, 1, 2), SolveStats())
+        assert len(emptied) == 1
+        assert basis.indices == (0, 1, 2)
+        assert basis.value.radius.hex() == want.radius.hex()
+        assert [c.hex() for c in basis.value.center] == [c.hex() for c in want.center]
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_case_counters_partition_the_triples(self, kind):
+        inst = random_instance(6, 12, kind, seed=17)
+        stats = lp_type_solve(inst).stats
+        triples = sum(1 for key in inst._cache if key[0] == "value" and len(key[1]) == 3)
+        assert triples > 0
+        cases = (stats.case1_pairs, stats.case2_ties, stats.case3_roots, stats.case3_fallbacks)
+        assert sum(cases) == triples
 
 
 class TestViolationAndBasis:
