@@ -12,9 +12,9 @@ Construction recipes:
   vertex).
 * Thompson ball: intersection of the forward and reverse Funk balls.
 
-A ball of radius 0, or one whose shape rounds onto its center, is the single
-point {center}; it is stored with ``shape=None`` so downstream clipping
-never sees a zero-area polygon.
+A ball of radius 0, or one whose shape rounds onto its center or to area
+<= 0, is the single point {center}; it is stored with ``shape=None`` so
+downstream clipping never sees a zero-area polygon.
 """
 
 from __future__ import annotations
@@ -169,7 +169,10 @@ def ball(omega: ConvexPolygon, kind: MetricKind, p: Point2, r: float) -> MetricB
     _check_radius(r)
     if r == 0.0:
         return MetricBall(kind, p, 0.0, omega, None)
-    return MetricBall(kind, p, r, omega, _SHAPES[kind](omega, p, r))
+    shape = _SHAPES[kind](omega, p, r)
+    if shape is not None and not shape.area > 0.0:
+        shape = None  # rounded flat; area's sign is exact even a few ulps wide
+    return MetricBall(kind, p, r, omega, shape)
 
 
 def contains(b: MetricBall, x: Point2, slack: float) -> bool:

@@ -9,6 +9,7 @@ failure prints one line to stderr: ``error: <code>: <detail>``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -229,7 +230,10 @@ def _cmd_meb(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and building it costs as much as a ``distance`` call."""
     parser = _Parser(prog="hilbertgeo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -83,9 +83,12 @@ class ConvexPolygon:
 
     @cached_property
     def area(self) -> float:
+        """Shoelace area, measured about the first vertex: differences stay
+        exact on a polygon a few ulps wide, where absolute products cancel."""
+        ox, oy = self.vertices[0]
         acc = 0.0
         for a, b in self.edges():
-            acc += a.x * b.y - b.x * a.y
+            acc += (a.x - ox) * (b.y - oy) - (b.x - ox) * (a.y - oy)
         return 0.5 * acc
 
 

@@ -20,6 +20,12 @@ The objective value is the pair (radius, center) under lexicographic order
 (radius, then center.x, then center.y), which makes the optimum unique even
 when many centers realize the minimum radius.
 
+Both reach the feasible-center region through ``_feasible_chain``, which clips
+omega by every point's center constraints.  A pass over more than three points
+first skips each point whose constraints provably hold the region's bounding
+box with a margin (a star test, ``_holds_box``): such clips would return the
+region unchanged, so every output keeps its bits.
+
 Direction convention: a center c is feasible at radius r when
 d(c, x) <= r for every instance point x.  For the weak metrics that set is
 the *reversed* ball around x (Funk <-> reverse Funk), because realized balls
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
@@ -69,6 +76,11 @@ MAX_BISECTION_ITERATIONS = 200
 # escalation ladder instead.
 SOLVER_CLIP_EPS = 1e-12
 
+# Margin of _feasible_chain's skip test, a distance per unit of
+# scale + |x.x| + |x.y|: far above the rounding of a built constraint polygon
+# and of clip_halfplane's side test at any translation.
+SKIP_MARGIN = 1e-9
+
 # A bisection hook: (region(r_hi), r_lo, r_hi) -> certified (r, region(r)) or None.
 Polish = Callable[[list[Point2], float, float], "tuple[float, list[Point2]] | None"]
 
@@ -99,6 +111,10 @@ class SolveStats:
     case2_ties: int = 0  # a center at the largest pair radius covers all three
     case3_roots: int = 0  # Hilbert: radius from the certified concurrency root
     case3_fallbacks: int = 0  # radius left to plain bisection (every non-Hilbert case 3)
+    # Point visits of _feasible_chain passes over more than three points:
+    # clipped, or skipped since no clip of theirs could cut (_holds_box).
+    points_clipped: int = 0
+    points_skipped: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,18 +211,122 @@ def _inset(omega: ConvexPolygon, delta: float) -> list[Point2]:
     return out
 
 
-def _feasible_chain(
-    instance: MebInstance, pts: Sequence[Point2], r: float
-) -> list[Point2]:
+def _spoke_angle(frame: tuple[float, float, float, float]) -> float:
+    return math.atan2(frame[1], frame[0])  # half_spokes' sort key
+
+
+def _holds_box(
+    instance: MebInstance, x: Point2, r: float, box: tuple[float, float, float, float]
+) -> bool:
+    """True when every constraint polygon of x at radius r holds box, grown
+    by SKIP_MARGIN * (scale + |x.x| + |x.y|) on every side.
+
+    Every such polygon is star-shaped about x with its vertices on rays that
+    do not depend on r, so no polygon is built.  Funk family: the homothet
+    x + k*(omega - x), k = 1 - e^-r, holds a point c exactly when, for every
+    edge a->b of omega with e = b - a and h = cross(e, x - a) > 0,
+    cross(e, c - x) + k*h >= 0; the reflected one x - k*(omega - x),
+    k = e^r - 1, when k*h - cross(e, c - x) >= 0.
+    The worst box corner is picked per edge by clip_by_polygon's rule.
+    Hilbert: each grown-box corner c is tested only against the ball edge of
+    its half-spoke sector, found by angle; the ball is convex, so holding
+    the four corners holds the box.  Everything is computed relative to x,
+    and a test must pass strictly, so a polygon that rounds onto x (r down
+    to 1e-300) is never skipped.
+    """
     omega = instance.omega
-    scale = omega.scale
-    tol = SOLVER_CLIP_EPS * scale
+    px, py = x
+    mu = SKIP_MARGIN * (omega.scale + abs(px) + abs(py))
+    x_lo, x_hi, y_lo, y_hi = box
+    x_lo, x_hi, y_lo, y_hi = x_lo - px - mu, x_hi - px + mu, y_lo - py - mu, y_hi - py + mu
+    rev = instance.kind.reversed_kind
+    if rev is MetricKind.HILBERT:
+        frames = _cached_half_spokes(instance, x)
+        n = len(frames)
+        t = math.exp(-2.0 * r)  # hilbert_ball_points' expressions
+        for cx, cy in ((x_lo, y_lo), (x_hi, y_lo), (x_hi, y_hi), (x_lo, y_hi)):
+            i = bisect_right(frames, math.atan2(cy, cx), key=_spoke_angle) - 1
+            ux, uy, d_fwd, d_back = frames[i]  # i = -1 wraps to the last sector
+            u = (1.0 - t) * d_back * d_fwd / (d_fwd * t + d_back)
+            ax, ay = u * ux, u * uy
+            ux, uy, d_fwd, d_back = frames[i + 1 - n]
+            u = (1.0 - t) * d_back * d_fwd / (d_fwd * t + d_back)
+            if not (u * ux - ax) * (cy - ay) - (u * uy - ay) * (cx - ax) > 0.0:
+                return False
+        return True
+    # Ratios as funk_ball_points and reverse_funk_ball_points compute them;
+    # None for a homothet the kind does not use.
+    fwd = 1.0 - math.exp(-r) if rev is not MetricKind.REVERSE_FUNK else None
+    back = math.exp(r) - 1.0 if rev is not MetricKind.FUNK else None
+    verts = omega.vertices
+    for a, b in zip(verts, verts[1:] + verts[:1]):
+        ax, ay = a[0] - px, a[1] - py
+        ex, ey = b[0] - a[0], b[1] - a[1]
+        h = ey * ax - ex * ay
+        if fwd is not None:
+            lo = ex * (y_lo if ex >= 0.0 else y_hi) - ey * (x_hi if ey >= 0.0 else x_lo)
+            if not lo + fwd * h > 0.0:
+                return False
+        if back is not None:
+            hi = ex * (y_hi if ex >= 0.0 else y_lo) - ey * (x_lo if ey >= 0.0 else x_hi)
+            if not back * h - hi > 0.0:
+                return False
+    return True
+
+
+def _bounding_box(region: list[Point2]) -> tuple[float, float, float, float]:
+    xs = [p[0] for p in region]
+    ys = [p[1] for p in region]
+    return min(xs), max(xs), min(ys), max(ys)
+
+
+def _feasible_chain(
+    instance: MebInstance,
+    pts: Sequence[Point2],
+    r: float,
+    stats: SolveStats | None = None,
+) -> list[Point2]:
+    """omega clipped by every center constraint of pts at radius r.
+
+    In a pass over more than three points, a point whose constraint
+    polygons all hold the region's bounding box with a margin
+    (``_holds_box``) is skipped: its clips would return the region
+    unchanged, so the result keeps every bit.  Passes over at most three
+    points clip the support of a basis (a pair or triple), whose constraints
+    all cut near its optimum, so they clip plainly.
+
+    Why the skip keeps bits.  Let mu = SKIP_MARGIN * (scale + |x.x| + |x.y|).
+    The test runs relative to x, so it rounds by a few ulps of scale; when
+    it passes, every region vertex lies at least mu inside every edge of
+    each polygon, taken before its vertices are rounded.  Building a vertex
+    (x + u*dir, x + k*(v - x)) rounds it by a few ulps of |x| + scale, and
+    clip_halfplane's side test errs by about as much: both stay below
+    1e-15 * (scale + |x.x| + |x.y|), a millionth of mu, for any edge not a
+    million times shorter than its distance to the box.  So every region
+    vertex passes every side test of the built polygon, and the clip would
+    return the region unchanged.
+    """
+    omega = instance.omega
+    tol = SOLVER_CLIP_EPS * omega.scale
     region = list(omega.vertices)
+    test = len(pts) > 3
+    if test and stats is None:
+        stats = SolveStats()
+    box = None  # the bounding box of region, once a test needs it
     for x in pts:
+        if test:
+            if box is None:
+                box = _bounding_box(region)
+            if _holds_box(instance, x, r, box):
+                stats.points_skipped += 1
+                continue
+            stats.points_clipped += 1
         for poly in _center_constraints(instance, x, r):
-            region = clip_by_polygon(region, poly, tol)
-            if not region:
-                return region
+            clipped = clip_by_polygon(region, poly, tol)
+            if clipped is not region:
+                region, box = clipped, None
+                if not region:
+                    return region
     return region
 
 
@@ -274,7 +394,7 @@ def _solve_bisection(
     if len(pts) == 1:
         return ObjectiveValue(0.0, pts[0])
     omega, kind = instance.omega, instance.kind
-    region = partial(_feasible_chain, instance, pts)
+    region = partial(_feasible_chain, instance, pts, stats=stats)
     chain: list[Point2] = []
     if r_hi is not None:
         r, chain = _least_radius(region, r_lo, r_hi, instance, stats, polish)
@@ -294,7 +414,7 @@ def _solve_bisection(
         # inside if EPS_DIST more radius allows; if not, ball() rejects it.
         inset = _inset(omega, 2.0 * EPS_GEOM * omega.scale)
         r_in, inner = _least_radius(
-            lambda s: clip_by_polygon(_feasible_chain(instance, pts, s), inset, 0.0),
+            lambda s: clip_by_polygon(_feasible_chain(instance, pts, s, stats), inset, 0.0),
             r,
             r + EPS_DIST,
             instance,

@@ -362,3 +362,41 @@ class TestNonFiniteInput:
         code, out, err = run_cli(capsys, "meb", "--input", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: parse: ") and "not valid JSON" in err
+
+
+class TestParserReuse:
+    """main builds its parser once per process; parsing must not change it."""
+
+    def test_parser_is_built_once(self):
+        from hilbert_geometry.cli import _build_parser
+
+        assert _build_parser() is _build_parser()
+
+    def test_consecutive_calls_with_different_subcommands(self, square_doc, capsys):
+        from hilbert_geometry.cli import _build_parser
+
+        calls = [
+            ("distance", "--input", square_doc, "--p", "0.5,0.5", "--q", "0.75,0.5"),
+            ("meb", "--input", square_doc, "--seed", "3", "--solver", "bisection"),
+            ("ball", "--input", square_doc, "--p", "0.5,0.5", "--radius", "0.5"),
+            ("meb", "--input", square_doc),
+            ("distance", "--input", square_doc, "--p", "0.5,0.5", "--q", "0.75,0.5"),
+        ]
+        reused = [run_cli(capsys, *argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            _build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0] * len(calls)
+        assert reused[0][1] == reused[-1][1] == "0.549306144334\n"
+
+    def test_usage_error_between_valid_calls(self, square_doc, capsys):
+        ok = ("distance", "--input", square_doc, "--p", "0.5,0.5", "--q", "0.75,0.5")
+        before = run_cli(capsys, *ok)
+        # meb accepts --seed; afterwards distance must still reject it.
+        assert run_cli(capsys, "meb", "--input", square_doc, "--seed", "1")[0] == 0
+        code, out, err = run_cli(capsys, *ok, "--seed", "1")
+        assert (code, out) == (4, "")
+        assert err.startswith("error: usage: ")
+        assert run_cli(capsys, *ok) == before == (0, "0.549306144334\n", "")

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilbert_geometry import (
     EPS_GEOM,
@@ -28,6 +30,7 @@ from hilbert_geometry import (
     violation_test,
 )
 from hilbert_geometry import meb
+from hilbert_geometry.geometry import clip_by_polygon
 from hilbert_geometry.meb import (
     EPS_RADIUS,
     MAX_BISECTION_ITERATIONS,
@@ -294,9 +297,9 @@ class TestThreePointPasses:
         inst, r_max = _case3_with_pairs_cached(kind)
         radii = []
 
-        def spy(instance, pts, r):
+        def spy(instance, pts, r, **kw):
             radii.append(r)
-            return FEASIBLE_CHAIN(instance, pts, r)
+            return FEASIBLE_CHAIN(instance, pts, r, **kw)
 
         monkeypatch.setattr(meb, "_feasible_chain", spy)
         stats = SolveStats()
@@ -316,11 +319,11 @@ class TestThreePointPasses:
         want = _solve_bisection(inst, inst.points, SolveStats(), r_lo=r_max, polish=polish)
         emptied = []
 
-        def tight_region_empty(instance, pts, r):
+        def tight_region_empty(instance, pts, r, **kw):
             if r > r_max * TOP_BUMP and not emptied:
                 emptied.append(r)
                 return []
-            return FEASIBLE_CHAIN(instance, pts, r)
+            return FEASIBLE_CHAIN(instance, pts, r, **kw)
 
         monkeypatch.setattr(meb, "_feasible_chain", tight_region_empty)
         basis = _subset_value(inst, (0, 1, 2), SolveStats())
@@ -722,3 +725,146 @@ class TestWeakMetricMeb:
                 assert distance(omega, MetricKind.FUNK, result.value.center, x) <= (
                     result.value.radius + EPS_DIST
                 )
+
+
+def _plain_chain(instance, r):
+    """_feasible_chain without the skip: clip by every constraint polygon."""
+    region = list(instance.omega.vertices)
+    tol = meb.SOLVER_CLIP_EPS * instance.omega.scale
+    for x in instance.points:
+        for poly in meb._center_constraints(instance, x, r):
+            region = clip_by_polygon(region, poly, tol)
+            if not region:
+                return region
+    return region
+
+
+def _hexes(chain):
+    return [(v[0].hex(), v[1].hex()) for v in chain]
+
+
+def _translated(omega, pts, kind, offset):
+    t = offset * omega.scale
+    image = normalize_polygon([(v.x + t, v.y + t) for v in omega.vertices])
+    return make_instance(image, [(x + t, y + t) for x, y in pts], kind)
+
+
+# A hexagon and ten interior points: six outer ones (two near edges), then
+# four inner ones, whose constraints stop cutting near the optimum.
+HEXAGON = [(0.0, 0.0), (1.3, -0.2), (2.1, 0.7), (1.8, 1.9), (0.4, 2.0), (-0.5, 1.0)]
+HEX_POINTS = [
+    (0.3, 0.4), (1.5, 0.3), (1.2, 1.6), (0.1, 1.2), (1.95, 1.0), (0.7, 0.05),
+    (0.9, 0.9), (1.0, 1.1), (0.8, 1.2), (1.1, 0.8),
+]
+
+
+class TestConstraintSkip:
+    """_feasible_chain skips a point whose constraint polygons all hold the
+    region's bounding box (_holds_box); the chain keeps every bit."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(4, 9),
+        kind=st.sampled_from(list(MetricKind)),
+        offset=st.sampled_from([0.0, 1e3, 1e5]),
+        exponent=st.floats(-12.0, math.log10(30.0)),
+    )
+    def test_chain_equals_clipping_every_constraint(self, seed, n, kind, offset, exponent):
+        rng = seeded(seed)
+        omega = random_convex_polygon(3 + seed % 8, rng)
+        pts = [random_interior_point(omega, rng) for _ in range(n)]
+        inst = _translated(omega, pts, kind, offset)
+        r = 10.0**exponent
+        assert _hexes(meb._feasible_chain(inst, inst.points, r)) == _hexes(_plain_chain(inst, r))
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e5])
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_every_bisection_probe_keeps_its_bits(self, monkeypatch, kind, offset):
+        # Near the optimum the region is small and lies on ball boundaries,
+        # where a skip without its margin would drop a cut.
+        inst = _translated(normalize_polygon(HEXAGON), HEX_POINTS, kind, offset)
+        probes = []
+
+        def both(instance, pts, r, stats=None):
+            chain = FEASIBLE_CHAIN(instance, pts, r, stats)
+            assert _hexes(chain) == _hexes(_plain_chain(instance, r))
+            probes.append(r)
+            return chain
+
+        monkeypatch.setattr(meb, "_feasible_chain", both)
+        stats = min_ball_bisection(inst).stats
+        assert len(probes) > 30
+        assert stats.points_skipped > 0 and stats.points_clipped > 0
+
+    def test_stats_count_point_visits_of_large_passes_only(self):
+        # At r = 1.2 > ln 3 the four corner balls leave a small region about
+        # the center, well inside the center's own ball.
+        pts = [(0.1, 0.1), (0.9, 0.1), (0.9, 0.9), (0.1, 0.9), (0.5, 0.5)]
+        inst = make_instance(SQUARE, pts, MetricKind.HILBERT)
+        stats = SolveStats()
+        meb._feasible_chain(inst, inst.points, 1.2, stats)
+        assert (stats.points_clipped, stats.points_skipped) == (4, 1)
+        meb._feasible_chain(inst, inst.points[2:], 1.2, stats)
+        assert (stats.points_clipped, stats.points_skipped) == (4, 1)
+
+    def test_hilbert_corner_in_the_wrap_around_sector(self):
+        # About the square's center the spokes run along the diagonals; the
+        # sector through -x wraps from the last half-spoke to the first.  At
+        # r = ln 3 the ball is [0.1, 0.9]^2.
+        inst = make_instance(SQUARE, [(0.5, 0.5)], MetricKind.HILBERT)
+        x = inst.points[0]
+        frames = meb._cached_half_spokes(inst, x)
+        assert meb._spoke_angle(frames[-1]) < math.pi < meb._spoke_angle(frames[0]) + 2 * math.pi
+        assert meb._holds_box(inst, x, LN3, (0.12, 0.56, 0.46, 0.55))
+        # Only the left corners, both in the wrap-around sector, are outside.
+        assert not meb._holds_box(inst, x, LN3, (0.08, 0.56, 0.46, 0.55))
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_box_that_contains_the_point(self, kind):
+        inst = make_instance(SQUARE, [(0.3, 0.6)], kind)
+        x = inst.points[0]
+        assert meb._holds_box(inst, x, 20.0, (0.25, 0.35, 0.55, 0.65))
+        assert not meb._holds_box(inst, x, 0.05, (0.25, 0.35, 0.55, 0.65))
+
+    def test_reflected_homothet(self):
+        # About (0.3, 0.6) at r = ln 2, the forward homothet (ratio 1/2) is
+        # [0.15, 0.65] x [0.3, 0.8] and the reflected one (ratio 1) is
+        # [-0.4, 0.6] x [0.2, 1.2]: the box leaves only the reflected one.
+        box = (0.5, 0.62, 0.5, 0.7)
+        r = math.log(2.0)
+        kinds = (MetricKind.FUNK, MetricKind.REVERSE_FUNK, MetricKind.THOMPSON)
+        holds = [
+            meb._holds_box(make_instance(SQUARE, [(0.3, 0.6)], kind), P(0.3, 0.6), r, box)
+            for kind in kinds
+        ]
+        # Funk centers lie in reflected homothets, reverse-Funk ones in forward ones.
+        assert holds == [False, True, False]
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_margin_grows_with_the_translation(self, kind):
+        # About the square's center at r = ln 2 every constraint polygon is
+        # a square of half-width 1/2 (reflected homothet), 1/4 (forward) or
+        # 3/10 (Hilbert, tanh(ln 2) / 2).  A box 1e-6 inside it clears the
+        # margin 1e-9 * (scale + |x.x| + |x.y|) at the origin, not at 1e5.
+        half = {
+            MetricKind.FUNK: 0.5,
+            MetricKind.REVERSE_FUNK: 0.25,
+            MetricKind.HILBERT: 0.3,
+            MetricKind.THOMPSON: 0.25,
+        }[kind] - 1e-6
+        for t, skipped in ((0.0, True), (1e5, False)):
+            inst = _translated(SQUARE, [(0.5, 0.5)], kind, t)
+            c = inst.points[0]
+            box = (c.x - half, c.x + half, c.y - half, c.y + half)
+            assert meb._holds_box(inst, c, math.log(2.0), box) is skipped
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_radius_that_rounds_the_polygon_onto_its_point(self, kind):
+        # 1 - e^-r and e^r - 1 round to 0 at r = 1e-300: no skip, no raise.
+        inst = make_instance(SQUARE, [(0.3, 0.6), (0.31, 0.6), (0.3, 0.61), (0.31, 0.61)], kind)
+        x = inst.points[0]
+        assert not meb._holds_box(inst, x, 1e-300, (x.x, x.x, x.y, x.y))
+        assert _hexes(meb._feasible_chain(inst, inst.points, 1e-300)) == _hexes(
+            _plain_chain(inst, 1e-300)
+        )
