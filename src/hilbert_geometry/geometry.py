@@ -82,6 +82,17 @@ class ConvexPolygon:
         return _extent(self.vertices)
 
     @cached_property
+    def edge_rows(self) -> tuple[tuple[float, float, float, float, float], ...]:
+        """Rows (a_x, a_y, e_x, e_y, band) per edge a -> a + e: the slack
+        s(y) = e_x*(y_y - a_y) - e_y*(y_x - a_x) is positive inside, and
+        band = EPS_GEOM * scale * |e| is point_location's boundary band."""
+        unit = EPS_GEOM * self.scale
+        return tuple(
+            (a.x, a.y, b.x - a.x, b.y - a.y, unit * math.hypot(b.x - a.x, b.y - a.y))
+            for a, b in self.edges()
+        )
+
+    @cached_property
     def area(self) -> float:
         """Shoelace area, measured about the first vertex: differences stay
         exact on a polygon a few ulps wide, where absolute products cancel."""
@@ -256,19 +267,12 @@ def point_location(omega: ConvexPolygon, p: Point2) -> PointLocation:
     px, py = float(p[0]), float(p[1])
     if not (math.isfinite(px) and math.isfinite(py)):
         return PointLocation.EXTERIOR
-    scale = omega.scale
-    verts = omega.vertices
-    n = len(verts)
     on_edge = False
-    for i in range(n):
-        a = verts[i]
-        b = verts[(i + 1) % n]
-        ex, ey = b.x - a.x, b.y - a.y
-        cross = ex * (py - a.y) - ey * (px - a.x)
-        tol = EPS_GEOM * scale * math.hypot(ex, ey)
-        if cross < -tol:
+    for ax, ay, ex, ey, band in omega.edge_rows:
+        cross = ex * (py - ay) - ey * (px - ax)
+        if cross < -band:
             return PointLocation.EXTERIOR
-        if cross <= tol:
+        if cross <= band:
             on_edge = True
     return PointLocation.BOUNDARY if on_edge else PointLocation.INTERIOR
 

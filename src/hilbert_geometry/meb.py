@@ -50,7 +50,7 @@ from .balls import (
     hilbert_ball_points,
     reverse_funk_ball_points,
 )
-from .errors import CoincidentPoints, EmptyInstance, NoFeasibleBasis
+from .errors import CoincidentPoints, EmptyInstance, NoFeasibleBasis, NotInterior
 from .geometry import (
     EPS_GEOM,
     ClipResult,
@@ -150,17 +150,33 @@ def make_instance(
     """
     if not (math.isfinite(eps_radius) and eps_radius > 0.0):
         raise ValueError(f"eps_radius must be finite and > 0, got {eps_radius}")
+    rows = omega.edge_rows
     tol = EPS_GEOM * omega.scale
-    grid: dict[tuple[int, int], list[Point2]] = {}
+    cell = 4.0 * tol
+    grid: dict[tuple[int, int], tuple[Point2, ...]] = {}
+    get = grid.get
     kept: list[Point2] = []
     for raw in points:
-        p = _require_interior(omega, raw)
-        cx, cy = int(p.x // tol), int(p.y // tol)
-        near = (q for nx in (cx - 1, cx, cx + 1) for ny in (cy - 1, cy, cy + 1)
-                for q in grid.get((nx, ny), ()))
-        if any(math.hypot(p.x - q.x, p.y - q.y) <= tol for q in near):
+        px, py = float(raw[0]), float(raw[1])
+        # point_location's INTERIOR test on the edge rows.  A non-finite
+        # coordinate fails it too: NaN fails every comparison, and an
+        # infinite one makes the slack of an edge facing it -inf or NaN.
+        for ax, ay, ex, ey, band in rows:
+            if not ex * (py - ay) - ey * (px - ax) > band:
+                raise NotInterior(f"point {(px, py)} is not interior")
+        # A kept point within tol of p lies in one of the four cells (side
+        # 4*tol, so with a margin of tol) that meet at p's nearest grid corner.
+        fx, fy = px / cell, py / cell
+        kx, ky = round(fx), round(fy)
+        near = (
+            get((kx, ky), ()) + get((kx - 1, ky), ())
+            + get((kx, ky - 1), ()) + get((kx - 1, ky - 1), ())
+        )
+        if near and any(math.hypot(px - q.x, py - q.y) <= tol for q in near):
             continue
-        grid.setdefault((cx, cy), []).append(p)
+        p = Point2(px, py)
+        key = (math.floor(fx), math.floor(fy))
+        grid[key] = get(key, ()) + (p,)
         kept.append(p)
     if not kept:
         raise EmptyInstance("instance needs at least one interior point")
@@ -201,9 +217,9 @@ def _center_constraints(
 def _inset(omega: ConvexPolygon, delta: float) -> list[Point2]:
     """omega with every edge moved inward by delta (small against the edges)."""
     normals = []
-    for a, b in omega.edges():
-        length = math.hypot(b.x - a.x, b.y - a.y)
-        normals.append(((a.y - b.y) / length, (b.x - a.x) / length))  # inward: CCW
+    for _, _, ex, ey, _ in omega.edge_rows:
+        length = math.hypot(ex, ey)
+        normals.append((-ey / length, ex / length))  # inward: CCW
     out = []
     for v, (ax, ay), (bx, by) in zip(omega.vertices, normals[-1:] + normals, normals):
         k = delta / (1.0 + ax * bx + ay * by)
@@ -215,6 +231,13 @@ def _spoke_angle(frame: tuple[float, float, float, float]) -> float:
     return math.atan2(frame[1], frame[0])  # half_spokes' sort key
 
 
+def _sector(frames, vx: float, vy: float) -> int:
+    """Index i of the half-spoke sector [i, i + 1) (CCW, cyclic) holding
+    direction (vx, vy): the Hilbert ball edge facing it joins spokes i and
+    i + 1."""
+    return (bisect_right(frames, math.atan2(vy, vx), key=_spoke_angle) - 1) % len(frames)
+
+
 def _holds_box(
     instance: MebInstance, x: Point2, r: float, box: tuple[float, float, float, float]
 ) -> bool:
@@ -224,7 +247,8 @@ def _holds_box(
     Every such polygon is star-shaped about x with its vertices on rays that
     do not depend on r, so no polygon is built.  Funk family: the homothet
     x + k*(omega - x), k = 1 - e^-r, holds a point c exactly when, for every
-    edge a->b of omega with e = b - a and h = cross(e, x - a) > 0,
+    edge a->b of omega with e = b - a and slack h = cross(e, x - a) > 0
+    (``ConvexPolygon.edge_rows``),
     cross(e, c - x) + k*h >= 0; the reflected one x - k*(omega - x),
     k = e^r - 1, when k*h - cross(e, c - x) >= 0.
     The worst box corner is picked per edge by clip_by_polygon's rule.
@@ -245,8 +269,8 @@ def _holds_box(
         n = len(frames)
         t = math.exp(-2.0 * r)  # hilbert_ball_points' expressions
         for cx, cy in ((x_lo, y_lo), (x_hi, y_lo), (x_hi, y_hi), (x_lo, y_hi)):
-            i = bisect_right(frames, math.atan2(cy, cx), key=_spoke_angle) - 1
-            ux, uy, d_fwd, d_back = frames[i]  # i = -1 wraps to the last sector
+            i = _sector(frames, cx, cy)
+            ux, uy, d_fwd, d_back = frames[i]
             u = (1.0 - t) * d_back * d_fwd / (d_fwd * t + d_back)
             ax, ay = u * ux, u * uy
             ux, uy, d_fwd, d_back = frames[i + 1 - n]
@@ -258,11 +282,8 @@ def _holds_box(
     # None for a homothet the kind does not use.
     fwd = 1.0 - math.exp(-r) if rev is not MetricKind.REVERSE_FUNK else None
     back = math.exp(r) - 1.0 if rev is not MetricKind.FUNK else None
-    verts = omega.vertices
-    for a, b in zip(verts, verts[1:] + verts[:1]):
-        ax, ay = a[0] - px, a[1] - py
-        ex, ey = b[0] - a[0], b[1] - a[1]
-        h = ey * ax - ex * ay
+    for ax, ay, ex, ey, _ in omega.edge_rows:
+        h = ex * (py - ay) - ey * (px - ax)
         if fwd is not None:
             lo = ex * (y_lo if ex >= 0.0 else y_hi) - ey * (x_hi if ey >= 0.0 else x_lo)
             if not lo + fwd * h > 0.0:
@@ -570,19 +591,6 @@ def _three_point_core(
     return (value, (0, 1, 2))
 
 
-def _facing_edge(frames, p: Point2, c: Point2) -> int | None:
-    """Index i of the half-spoke sector [i, i+1) (CCW) that holds c - p: the
-    edge of every Hilbert ball about p that faces c joins spokes i and i+1."""
-    vx, vy = c.x - p.x, c.y - p.y
-    n = len(frames)
-    for i in range(n):
-        ax, ay = frames[i][0], frames[i][1]
-        bx, by = frames[(i + 1) % n][0], frames[(i + 1) % n][1]
-        if ax * vy - ay * vx >= 0.0 and vx * by - vy * bx > 0.0:
-            return i
-    return None
-
-
 def _sign_change_root(
     f: Callable[[float], float], a: float, b: float, fa: float, fb: float
 ) -> float:
@@ -632,7 +640,7 @@ class _ConcurrentEdges:
         self.instance = instance
         self.pts = pts
         self.frames = [_cached_half_spokes(instance, p) for p in pts]
-        self.tried: set[tuple[int | None, ...]] = set()  # triples already root-solved
+        self.tried: set[tuple[int, ...]] = set()  # triples already root-solved
         self.solved = False
 
     def __call__(
@@ -640,7 +648,7 @@ class _ConcurrentEdges:
     ) -> tuple[float, list[Point2]] | None:
         n = len(chain)
         edges = self._edges(Point2(sum(q.x for q in chain) / n, sum(q.y for q in chain) / n))
-        if None in edges or edges in self.tried:
+        if edges in self.tried:
             return None
 
         def det(r: float) -> float:
@@ -675,8 +683,8 @@ class _ConcurrentEdges:
         self.solved = True
         return r, [center]
 
-    def _edges(self, c: Point2) -> tuple[int | None, ...]:
-        return tuple(_facing_edge(f, p, c) for f, p in zip(self.frames, self.pts))
+    def _edges(self, c: Point2) -> tuple[int, ...]:
+        return tuple(_sector(f, c.x - p.x, c.y - p.y) for f, p in zip(self.frames, self.pts))
 
     def _lines(self, edges: tuple[int, ...], r: float) -> list[tuple[float, float, float]]:
         """Unit-normal lines a*x + b*y + c = 0 of the edges at radius r,

@@ -8,6 +8,12 @@ For interior points p, q with chord endpoints rear (behind p) and front
     Hilbert         H(p, q) = (F(p, q) + F(q, p)) / 2   (half the log cross-ratio)
     Thompson        T(p, q) = max(F(p, q), F(q, p))
 
+On a polygon no chord is built: the ray p -> q leaves through the edge j
+that maximizes s_j(p) / s_j(q), where s_j(y) = cross(e_j, y - a_j) is the
+slack of edge a_j -> a_j + e_j, so F(p, q) = ln max_j s_j(p) / s_j(q) (de
+la Harpe 1993, "On Hilbert's metric for simplices"; Papadopoulos &
+Troyanov 2014, "From Funk to Hilbert geometry").
+
 All four vanish at p = q; coincidence is decided by an EPS_GEOM-relative
 Euclidean threshold because the formulas are singular there.
 """
@@ -21,7 +27,6 @@ from .errors import Unreachable
 from .geometry import (
     ConvexPolygon,
     Point2,
-    _chord,
     _coincident,
     _ray,
     _require_direction,
@@ -50,41 +55,27 @@ class MetricKind(enum.Enum):
         return self
 
 
-def _funk(omega: ConvexPolygon, p: Point2, q: Point2) -> float:
-    front = _ray(omega, p, q.x - p.x, q.y - p.y).point
-    if front == p:  # p lies on the boundary: count q as out of reach
-        return math.inf
-    return math.log(
-        math.hypot(p.x - front.x, p.y - front.y)
-        / math.hypot(q.x - front.x, q.y - front.y)
-    )
+def _funk_pair(omega: ConvexPolygon, p: Point2, q: Point2) -> tuple[float, float]:
+    """(F(p, q), F(q, p)) from the edge slacks of p and q.
 
-
-def _reverse_funk(omega: ConvexPolygon, p: Point2, q: Point2) -> float:
-    return _funk(omega, q, p)
-
-
-def _hilbert(omega: ConvexPolygon, p: Point2, q: Point2) -> float:
-    frame = _chord(omega, p, q)
-    return 0.5 * math.log(
-        (frame.d_q_rear / frame.d_p_rear) * (frame.d_p_front / frame.d_q_front)
-    )
-
-
-def _thompson(omega: ConvexPolygon, p: Point2, q: Point2) -> float:
-    frame = _chord(omega, p, q)
-    return max(
-        math.log(frame.d_p_front / frame.d_q_front),
-        math.log(frame.d_q_rear / frame.d_p_rear),
-    )
-
-
-_KERNELS = {
-    MetricKind.FUNK: _funk,
-    MetricKind.REVERSE_FUNK: _reverse_funk,
-    MetricKind.HILBERT: _hilbert,
-    MetricKind.THOMPSON: _thompson,
-}
+    A slack of q <= 0 puts q out of reach of p (F(p, q) = inf); a slack of
+    p <= 0 only drops that edge from F(p, q)'s max.
+    """
+    px, py = p[0], p[1]
+    qx, qy = q[0], q[1]
+    fwd = back = 0.0  # max over edges of s(p)/s(q) and of s(q)/s(p)
+    for ax, ay, ex, ey, _ in omega.edge_rows:
+        sp = ex * (py - ay) - ey * (px - ax)
+        sq = ex * (qy - ay) - ey * (qx - ax)
+        if sq <= 0.0:
+            fwd = math.inf
+        elif sp / sq > fwd:
+            fwd = sp / sq
+        if sp <= 0.0:
+            back = math.inf
+        elif sq / sp > back:
+            back = sq / sp
+    return math.log(fwd), math.log(back)
 
 
 def distance(omega: ConvexPolygon, kind: MetricKind, p: Point2, q: Point2) -> float:
@@ -96,7 +87,14 @@ def _distance(omega: ConvexPolygon, kind: MetricKind, p: Point2, q: Point2) -> f
     """distance for points already known to be interior."""
     if _coincident(omega, p, q):
         return 0.0
-    return _KERNELS[kind](omega, p, q)
+    fwd, back = _funk_pair(omega, p, q)
+    if kind is MetricKind.FUNK:
+        return fwd
+    if kind is MetricKind.REVERSE_FUNK:
+        return back
+    if kind is MetricKind.HILBERT:
+        return 0.5 * (fwd + back)
+    return max(fwd, back)
 
 
 def _check_radius(r: float) -> None:

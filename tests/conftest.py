@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hilbert_geometry import (
+    EPS_GEOM,
     ConvexPolygon,
     MetricBall,
     MetricKind,
@@ -62,6 +63,28 @@ def apply_projective(mat, p) -> Point2:
     (a, b, c), (d, e, f), (g, h, i) = mat
     w = g * p.x + h * p.y + i
     return Point2((a * p.x + b * p.y + c) / w, (d * p.x + e * p.y + f) / w)
+
+
+def reference_point_location(omega: ConvexPolygon, p) -> PointLocation:
+    """point_location written out from the vertices: each edge vector and
+    its band are recomputed per call rather than read from
+    ``omega.edge_rows``.  The two must agree on every point, bit for bit."""
+    px, py = float(p[0]), float(p[1])
+    if not (math.isfinite(px) and math.isfinite(py)):
+        return PointLocation.EXTERIOR
+    verts = omega.vertices
+    n = len(verts)
+    on_edge = False
+    for i in range(n):
+        a, b = verts[i], verts[(i + 1) % n]
+        ex, ey = b.x - a.x, b.y - a.y
+        cross = ex * (py - a.y) - ey * (px - a.x)
+        tol = EPS_GEOM * omega.scale * math.hypot(ex, ey)
+        if cross < -tol:
+            return PointLocation.EXTERIOR
+        if cross <= tol:
+            on_edge = True
+    return PointLocation.BOUNDARY if on_edge else PointLocation.INTERIOR
 
 
 def boundary_samples(ball: MetricBall, per_edge: int = 16) -> list[Point2]:

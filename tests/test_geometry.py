@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbert_geometry import (
+    EPS_GEOM,
     ClipResult,
     Degenerate,
     EmptyRegion,
@@ -27,7 +28,7 @@ from hilbert_geometry import geometry
 from hilbert_geometry.geometry import clip_by_polygon, clip_halfplane
 from hilbert_geometry.sampling import random_convex_polygon, random_interior_point
 
-from conftest import UNIT_SQUARE, seeded
+from conftest import UNIT_SQUARE, reference_point_location, seeded
 
 
 def P(x, y):
@@ -103,6 +104,35 @@ class TestPointLocation:
     )
     def test_unit_square(self, unit_square, pt, expected):
         assert point_location(unit_square, P(*pt)) is expected
+
+    @pytest.mark.parametrize("shift", [0.0, 1e3, 1e5])
+    @pytest.mark.parametrize("seed", range(30))
+    def test_equals_per_edge_reference(self, seed, shift):
+        # m = 3-32; points inside, within +-1.5 bands of an edge or a
+        # vertex, and outside, on a polygon moved by shift * scale.
+        rng = seeded(7000 + seed)
+        base = random_convex_polygon(3 + seed, rng)
+        off = shift * base.scale
+        omega = normalize_polygon([(v.x + off, v.y + off) for v in base.vertices])
+        band = EPS_GEOM * omega.scale
+        verts = omega.vertices
+        pts = list(verts)
+        for k in range(len(verts)):
+            a, b = verts[k], verts[(k + 1) % len(verts)]
+            length = math.hypot(b.x - a.x, b.y - a.y)
+            nx, ny = (a.y - b.y) / length, (b.x - a.x) / length  # inward
+            for _ in range(4):
+                t, d = rng.random(), rng.uniform(-1.5, 1.5) * band
+                pts.append(P(a.x + t * (b.x - a.x) + d * nx, a.y + t * (b.y - a.y) + d * ny))
+            d = rng.uniform(2.0, 1e6) * band
+            pts.append(P(a.x - d * nx, a.y - d * ny))
+            pts.append(random_interior_point(omega, rng))
+        seen = set()
+        for p in pts:
+            loc = point_location(omega, p)
+            assert loc is reference_point_location(omega, p), p
+            seen.add(loc)
+        assert seen == set(PointLocation)
 
 
 class TestRayBoundaryIntersection:

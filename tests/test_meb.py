@@ -77,6 +77,39 @@ class TestMakeInstance:
         with pytest.raises(NotInterior):
             make_instance(SQUARE, [(1.0, 0.5)], MetricKind.HILBERT)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_rejected(self, bad):
+        for pt in ((bad, 0.5), (0.5, bad), (bad, bad)):
+            with pytest.raises(NotInterior, match="is not interior"):
+                make_instance(SQUARE, [(0.5, 0.5), pt], MetricKind.HILBERT)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_keeps_what_a_pairwise_scan_keeps(self, seed, shift):
+        # Bases on multiples of the merge distance tol, with every residue
+        # mod 4 on both axes, so on the edges and midlines of make_instance's
+        # grid cells; each has neighbours at tol * (1 +- 1e-6) in 16
+        # directions and an exact copy, in a seeded order.
+        omega = normalize_polygon([(x + shift, y + shift) for x, y in UNIT_SQUARE])
+        tol = EPS_GEOM * omega.scale
+        pts = []
+        for j in range(4):
+            for k in range(4):
+                bx = shift + round(0.5 / tol) * tol + 11 * j * tol
+                by = shift + round(0.3 / tol) * tol + 11 * k * tol
+                pts += [P(bx, by), P(bx, by)]
+                for i in range(16):
+                    c, s = math.cos(math.pi * i / 8), math.sin(math.pi * i / 8)
+                    for f in (1.0 - 1e-6, 1.0 + 1e-6):
+                        pts.append(P(bx + f * tol * c, by + f * tol * s))
+        seeded(seed).shuffle(pts)
+        kept = []
+        for p in pts:
+            if all(math.hypot(p.x - q.x, p.y - q.y) > tol for q in kept):
+                kept.append(p)
+        assert make_instance(omega, pts, MetricKind.HILBERT).points == tuple(kept)
+        assert 16 < len(kept) < len(pts) / 4
+
 
 class TestFeasibleCenterSet:
     def test_single_point_any_radius(self, unit_square):
@@ -261,6 +294,19 @@ class TestThreePointValue:
             assert d == pytest.approx(result.value.radius, abs=1e-12)
         assert result.value.center.x == pytest.approx(0.5, abs=1e-12)
         assert feasible_center_set(inst, result.value.radius - EPS_RADIUS).is_empty
+
+    def test_sector_index_is_cyclic(self):
+        # Directions just before spoke 0 and just past the last spoke lie in
+        # one sector; _ConcurrentEdges compares the sectors of its guess and
+        # of its root's center, so both must get the same index.
+        frames = meb._cached_half_spokes(pair_instance(), P(0.3, 0.6))
+        n = len(frames)
+        for i, (ux, uy, _, _) in enumerate(frames):
+            assert meb._sector(frames, ux, uy) == i
+        first = math.atan2(frames[0][1], frames[0][0])
+        last = math.atan2(frames[-1][1], frames[-1][0])
+        for angle in (first - 1e-9, last + 1e-9):
+            assert meb._sector(frames, math.cos(angle), math.sin(angle)) == n - 1
 
     @pytest.mark.parametrize("seed, kind", over_metrics(range(10)))
     def test_oracle_equivalence(self, seed, kind):
@@ -676,8 +722,9 @@ class TestWeakMetricMeb:
     def test_boundary_subset_center_does_not_raise_a_math_error(self):
         # Seed 127 of a near-boundary recipe: each point is interior or a
         # few boundary bands inside an edge.  A pair's Funk center lands on
-        # the boundary, where the ray toward a point meets it at the center
-        # itself; the cover test there once raised "math domain error".
+        # the boundary.  Its zero slack there only drops that edge from the
+        # Funk max, so the cover test neither takes log(0) nor calls the
+        # points out of reach, and lp_type_solve agrees with the oracle.
         rng = seeded(127)
         omega = random_convex_polygon(10, rng)
         pts = []
@@ -693,12 +740,11 @@ class TestWeakMetricMeb:
             pts.append(P(a.x + t * dx - d * dy / length, a.y + t * dy + d * dx / length))
         inst = make_instance(omega, pts, MetricKind.FUNK)
         assert len(inst.points) == 5
-        self._assert_optimal_interior(inst, min_ball_bisection(inst))
-        try:
-            result = lp_type_solve(inst)
-        except NoFeasibleBasis:
-            return
+        oracle = min_ball_bisection(inst)
+        self._assert_optimal_interior(inst, oracle)
+        result = lp_type_solve(inst)
         self._assert_optimal_interior(inst, result)
+        assert abs(result.value.radius - oracle.value.radius) <= 1e-9
 
     def test_center_that_misses_a_point_is_not_returned(self):
         # The optimum sits at a vertex and the second point lies a few bands

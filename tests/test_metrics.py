@@ -9,12 +9,13 @@ from hilbert_geometry import (
     NotInterior,
     Point2,
     Unreachable,
+    chord_frame,
     distance,
     normalize_polygon,
     point_at_distance,
     ray_boundary_intersection,
 )
-from hilbert_geometry.metrics import EPS_DIST
+from hilbert_geometry.metrics import EPS_DIST, _distance
 from hilbert_geometry.sampling import random_convex_polygon, random_interior_point
 
 from conftest import apply_projective, random_projective_map, seeded
@@ -113,6 +114,46 @@ class TestCompositionIdentities:
             )
         assert not MetricKind.FUNK.is_symmetric
         assert not MetricKind.REVERSE_FUNK.is_symmetric
+
+
+class TestSlackKernel:
+    """Distances come from edge slacks; the chord formula built from
+    chord_frame's ray hits is the independent reference."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_equals_chord_formula(self, seed):
+        rng = seeded(8000 + seed)
+        omega = random_convex_polygon(3 + seed, rng)
+        for _ in range(10):
+            p, q = random_interior_point(omega, rng), random_interior_point(omega, rng)
+            frame = chord_frame(omega, p, q)
+            fwd = math.log(frame.d_p_front / frame.d_q_front)
+            back = math.log(frame.d_q_rear / frame.d_p_rear)
+            expected = {
+                MetricKind.FUNK: fwd,
+                MetricKind.REVERSE_FUNK: back,
+                MetricKind.HILBERT: 0.5 * math.log(
+                    (frame.d_q_rear / frame.d_p_rear) * (frame.d_p_front / frame.d_q_front)
+                ),
+                MetricKind.THOMPSON: max(fwd, back),
+            }
+            for kind, value in expected.items():
+                assert distance(omega, kind, p, q) == pytest.approx(value, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("c", [P(0.5, 0.0), P(0.5, -1e-12)])
+    def test_boundary_center_follows_the_slack_signs(self, c):
+        # c's slack on the bottom edge is 0 or negative.  As a source it only
+        # drops that edge from the max: the chord c -> x leaves through the
+        # top edge at (0.3, 1), twice as far from c as from x.  As a target
+        # it is out of reach.
+        x = P(0.4, 0.5)
+        funk, rev = MetricKind.FUNK, MetricKind.REVERSE_FUNK
+        assert _distance(SQUARE, funk, c, x) == pytest.approx(math.log(2.0), rel=1e-11)
+        assert _distance(SQUARE, rev, x, c) == _distance(SQUARE, funk, c, x)
+        assert _distance(SQUARE, funk, x, c) == math.inf
+        assert _distance(SQUARE, rev, c, x) == math.inf
+        for kind in (MetricKind.HILBERT, MetricKind.THOMPSON):
+            assert _distance(SQUARE, kind, c, x) == _distance(SQUARE, kind, x, c) == math.inf
 
 
 class TestTriangleInequality:
