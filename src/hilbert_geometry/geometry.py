@@ -431,15 +431,26 @@ def clip_by_polygon(
 
     Equal, element by element, to chaining clip_halfplane over the clip
     edges in order and stopping at the first empty result; but edges that
-    cannot cut the chain are skipped.  Until the first edge that is not
-    skipped, the chain is still the input, so one bounding box of it holds.
+    cannot cut the chain are skipped.  Each edge is tested against a box
+    that holds every vertex of the chain so far.
     For an edge a->b with e = b - a, clip_halfplane keeps a vertex when
     ex*(y - ay) - ey*(x - ax) >= -tol*|e|.  Every rounded operation in that
     expression is monotone in x and in y, so its value at the box corner
     (x_hi if ey >= 0 else x_lo, y_lo if ex >= 0 else y_hi) is at most its
     value at every vertex.  When the corner passes, every vertex is kept,
     no edge is cut, and clip_halfplane would return a list equal to its
-    input.  From the first edge not skipped on, every edge is clipped.
+    input.
+
+    Why the box still holds after a cut.  The box starts as the input's
+    bounding box.  A clip keeps some vertices and adds cut vertices
+    prev + t*(cur - prev), where prev and cur are vertices of the chain and
+    the rounded t lies in [0, 1] (its numerator never exceeds its
+    denominator in size).  Exactly, such a point lies between prev and cur,
+    so in the box; the three rounded operations move it by at most
+    2.5 * 2**-52 * M in x, M being the largest |x| in the box, and likewise
+    in y.  So the box grown by 8 * 2**-52 * (max|x| + max|y|) of the entry
+    box after each clip holds the new chain, for any number of clips short
+    of about 10**14, and for coordinates above the subnormal range.
     """
     if not pts:
         return pts
@@ -447,6 +458,7 @@ def clip_by_polygon(
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
     x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
+    grow = 8.0 * 2.0**-52 * (max(-x_lo, x_hi) + max(-y_lo, y_hi))
     for i in range(n):
         a, b = clip[i], clip[(i + 1) % n]
         ax, ay = a[0], a[1]
@@ -455,11 +467,10 @@ def clip_by_polygon(
         y = y_lo if ex >= 0.0 else y_hi
         if ex * (y - ay) - ey * (x - ax) >= -(tol * math.hypot(ex, ey)):
             continue
-        for j in range(i, n):
-            pts = clip_halfplane(pts, clip[j], clip[(j + 1) % n], tol)
-            if not pts:
-                break
-        return pts
+        pts = clip_halfplane(pts, a, b, tol)
+        if not pts:
+            break
+        x_lo, x_hi, y_lo, y_hi = x_lo - grow, x_hi + grow, y_lo - grow, y_hi + grow
     return pts
 
 

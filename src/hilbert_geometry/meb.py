@@ -8,23 +8,27 @@ Two solvers share one objective:
 * ``min_ball_bisection``: radius bisection against the feasible-center
   region, used as the reference oracle for the LP-type path.
 
-Both serve all four metrics.  Hilbert pairs take the closed-form radius d/2;
-other pairs are bisected.  Three-point bases larger than any pair (case 3 of
-``_three_point_core``) bisect up from the largest pair radius, to the least
-radius at which a pair's center covers the third point.  Hilbert ones stop
-once the three ball edges meeting at the optimum are known, then take a
-certified sign-change root for the radius where they concur; without one,
-the bisection result stands.
+Both serve all four metrics.  Hilbert pairs take the closed-form radius d/2,
+with the center where the two balls touch, found by clipping only the ball
+edges that face each other (``_facing``); other pairs are bisected.
+Three-point bases larger than any pair (case 3 of ``_three_point_core``)
+bisect up from the largest pair radius, to the least radius at which a
+pair's center covers the third point.  Hilbert ones stop once the three ball
+edges meeting at the optimum are known, then take a certified sign-change
+root for the radius where they concur; without one, the bisection result
+stands.
 
 The objective value is the pair (radius, center) under lexicographic order
 (radius, then center.x, then center.y), which makes the optimum unique even
 when many centers realize the minimum radius.
 
 Both reach the feasible-center region through ``_feasible_chain``, which clips
-omega by every point's center constraints.  A pass over more than three points
-first skips each point whose constraints provably hold the region's bounding
-box with a margin (a star test, ``_holds_box``): such clips would return the
-region unchanged, so every output keeps its bits.
+omega by every point's center constraints; a Hilbert pass starts from the
+first point's ball, which lies in omega, so few of omega's edges are clipped.
+A pass over more than three points first skips each point whose constraints
+provably hold the region's bounding box with a margin (a star test,
+``_holds_box``): such clips would return the region unchanged, so every
+output keeps its bits.
 
 Direction convention: a center c is feasible at radius r when
 d(c, x) <= r for every instance point x.  For the weak metrics that set is
@@ -238,6 +242,24 @@ def _sector(frames, vx: float, vy: float) -> int:
     return (bisect_right(frames, math.atan2(vy, vx), key=_spoke_angle) - 1) % len(frames)
 
 
+def _facing(frames, vx: float, vy: float):
+    """Half-spokes i - 1 .. i + 2 (cyclic) about the sector i holding
+    direction (vx, vy); all of them when there are at most four.
+
+    Two Hilbert balls at r = d/2 touch along a set S that holds the chord
+    point, on the ball edge of sector i, and reaches at most into that
+    edge's two neighbours (Nielsen & Shao 2017).  Those three edges join
+    these four half-spokes, and the polygon on their ball points holds
+    them, so clipping two such windows gives S, as clipping the whole
+    balls does.
+    """
+    n = len(frames)
+    if n <= 4:
+        return frames
+    i = _sector(frames, vx, vy)
+    return [frames[(i + k) % n] for k in (-1, 0, 1, 2)]
+
+
 def _holds_box(
     instance: MebInstance, x: Point2, r: float, box: tuple[float, float, float, float]
 ) -> bool:
@@ -309,12 +331,14 @@ def _feasible_chain(
 ) -> list[Point2]:
     """omega clipped by every center constraint of pts at radius r.
 
-    In a pass over more than three points, a point whose constraint
-    polygons all hold the region's bounding box with a margin
-    (``_holds_box``) is skipped: its clips would return the region
-    unchanged, so the result keeps every bit.  Passes over at most three
-    points clip the support of a basis (a pair or triple), whose constraints
-    all cut near its optimum, so they clip plainly.
+    A Hilbert pass starts from the first point's ball clipped by omega, the
+    same set; the Funk family starts from omega.  In a pass over more than
+    three points, a point whose constraint polygons all hold the region's
+    bounding box with a margin (``_holds_box``) is skipped: its clips would
+    return the region unchanged, so the result keeps every bit.  The first
+    point of a Hilbert pass is the start, never skipped.  Passes over at
+    most three points clip the support of a basis (a pair or triple), whose
+    constraints all cut near its optimum, so they clip plainly.
 
     Why the skip keeps bits.  Let mu = SKIP_MARGIN * (scale + |x.x| + |x.y|).
     The test runs relative to x, so it rounds by a few ulps of scale; when
@@ -329,10 +353,21 @@ def _feasible_chain(
     """
     omega = instance.omega
     tol = SOLVER_CLIP_EPS * omega.scale
-    region = list(omega.vertices)
     test = len(pts) > 3
     if test and stats is None:
         stats = SolveStats()
+    if instance.kind is MetricKind.HILBERT:
+        # The first ball lies in omega, so the clip box skips almost every
+        # edge of omega, where omega clipped by the ball cuts at every edge.
+        (first,) = _center_constraints(instance, pts[0], r)
+        region = clip_by_polygon(first, omega.vertices, tol)
+        if test:
+            stats.points_clipped += 1
+        if not region:
+            return region
+        pts = pts[1:]
+    else:
+        region = list(omega.vertices)
     box = None  # the bounding box of region, once a test needs it
     for x in pts:
         if test:
@@ -484,11 +519,12 @@ def _pair_value(
         # Balls this small are below distance tolerance; any point between
         # the pair supports both within EPS_DIST.
         return ObjectiveValue(r_star, Point2(0.5 * (p.x + q.x), 0.5 * (p.y + q.y)))
-    frames_p = _cached_half_spokes(instance, p)
-    frames_q = _cached_half_spokes(instance, q)
+    frames_p = _facing(_cached_half_spokes(instance, p), q.x - p.x, q.y - p.y)
+    frames_q = _facing(_cached_half_spokes(instance, q), p.x - q.x, p.y - q.y)
     scale = omega.scale
     tol = SOLVER_CLIP_EPS * scale
-    # The two closed balls touch along a segment at r = d/2.
+    # The two closed balls touch along a segment at r = d/2, in the facing
+    # windows of both.
     chain = _tangent_chain(
         r_star,
         lambda r: clip_by_polygon(

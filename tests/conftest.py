@@ -11,10 +11,17 @@ from hilbert_geometry import (
     MetricKind,
     Point2,
     PointLocation,
+    make_instance,
     normalize_polygon,
     point_location,
 )
-from hilbert_geometry.meb import SolveStats, _move_to_front
+from hilbert_geometry import meb
+from hilbert_geometry.balls import hilbert_ball_points
+from hilbert_geometry.errors import NoFeasibleBasis
+from hilbert_geometry.geometry import classify_region, clip_by_polygon, lexicographic_min
+from hilbert_geometry.meb import ObjectiveValue, SolveStats, _move_to_front
+from hilbert_geometry.metrics import EPS_DIST, _distance
+from hilbert_geometry.sampling import random_convex_polygon, random_interior_point
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -45,6 +52,47 @@ def unfiltered_scan(instance):
     random.Random(instance.seed).shuffle(order)
     stats = SolveStats()
     return _move_to_front(instance, order, stats), stats
+
+
+def near_boundary_instance(seed: int, kind: MetricKind):
+    """Seed's instance of the near-boundary recipe: a random (3 + seed % 8)-gon
+    and 2-5 points, each interior or 0.5-4 boundary bands inside an edge."""
+    rng = seeded(seed)
+    m = 3 + seed % 8
+    omega = random_convex_polygon(m, rng)
+    pts = []
+    for _ in range(rng.randint(2, 5)):
+        if rng.random() < 0.5:
+            pts.append(random_interior_point(omega, rng))
+            continue
+        k = rng.randrange(m)
+        a, b = omega.vertices[k], omega.vertices[(k + 1) % m]
+        t = rng.uniform(0.05, 0.95)
+        dx, dy, length = b.x - a.x, b.y - a.y, math.hypot(b.x - a.x, b.y - a.y)
+        d = rng.uniform(0.5, 4) * EPS_GEOM * omega.scale
+        pts.append(Point2(a.x + t * dx - d * dy / length, a.y + t * dy + d * dx / length))
+    return make_instance(omega, pts, kind)
+
+
+def full_ball_pair_value(instance, p: Point2, q: Point2) -> ObjectiveValue:
+    """meb._pair_value of a Hilbert pair, clipping the whole two balls
+    rather than their facing windows: the construction they must match."""
+    omega = instance.omega
+    r_star = _distance(omega, MetricKind.HILBERT, p, q) / 2.0
+    if r_star <= EPS_DIST:
+        return ObjectiveValue(r_star, Point2(0.5 * (p.x + q.x), 0.5 * (p.y + q.y)))
+    frames_p = meb._cached_half_spokes(instance, p)
+    frames_q = meb._cached_half_spokes(instance, q)
+    tol = meb.SOLVER_CLIP_EPS * omega.scale
+    chain = meb._tangent_chain(
+        r_star,
+        lambda r: clip_by_polygon(
+            hilbert_ball_points(frames_p, p, r), hilbert_ball_points(frames_q, q, r), tol
+        ),
+    )
+    if not chain:
+        raise NoFeasibleBasis("two-point balls failed to intersect at r = d/2")
+    return ObjectiveValue(r_star, lexicographic_min(classify_region(chain, omega.scale)))
 
 
 def random_projective_map(omega, rng):

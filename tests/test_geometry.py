@@ -269,6 +269,21 @@ def _clip_case(seed, m_chain, m_clip, mode):
         angle = rng.uniform(0.0, 2.0 * math.pi)
         dx, dy = step * math.cos(angle), step * math.sin(angle)
         clip = [P(v.x + dx, v.y + dy) for v in chain.vertices]
+    elif mode == "sliver":
+        # The chain mirrored across the line of its edge a->b and moved a
+        # few clip bands back in.  The first clip edge, b->a moved, leaves a
+        # sliver along a->b in the entry box; its neighbours cut the ends.
+        k = rng.randrange(m_chain)
+        a, b = chain.vertices[k], chain.vertices[(k + 1) % m_chain]
+        length = math.hypot(b.x - a.x, b.y - a.y)
+        nx, ny = (a.y - b.y) / length, (b.x - a.x) / length  # into the chain
+        step = chain.scale * rng.choice([1e-13, 3e-12, 2e-11, 3e-9, 2e-8])
+        mirrored = []
+        for v in reversed(chain.vertices):  # a mirror turns CCW into CW
+            s = step - 2.0 * ((v.x - a.x) * nx + (v.y - a.y) * ny)
+            mirrored.append(P(v.x + s * nx, v.y + s * ny))
+        start = m_chain - 1 - (k + 1) % m_chain  # b's image, then a's
+        clip = mirrored[start:] + mirrored[:start]
     else:  # "tangent": a triangle on the far side of one chain edge a->b
         k = rng.randrange(m_chain)
         a, b = chain.vertices[k], chain.vertices[(k + 1) % m_chain]
@@ -285,8 +300,8 @@ class TestClipByPolygon:
         seed=st.integers(0, 2**32 - 1),
         m_chain=st.integers(3, 12),
         m_clip=st.integers(3, 12),
-        mode=st.sampled_from(["random", "contains", "tangent", "graze", "box"]),
-        shift=st.sampled_from([0.0, 1e4]),
+        mode=st.sampled_from(["random", "contains", "tangent", "graze", "box", "sliver"]),
+        shift=st.sampled_from([0.0, 1e4, 1e5]),
         rel_tol=st.sampled_from([0.0, 1e-12, 1e-9]),
     )
     def test_equals_plain_halfplane_chain(self, seed, m_chain, m_clip, mode, shift, rel_tol):
@@ -303,6 +318,35 @@ class TestClipByPolygon:
         monkeypatch.setattr(geometry, "clip_halfplane", lambda *args: calls.append(args))
         assert clip_by_polygon(chain, clip, 1e-12 * scale) == chain
         assert calls == []
+
+    def test_edges_the_grown_box_clears_after_a_cut_are_skipped(self, monkeypatch, unit_square):
+        # The first edge, x = 0.5 upward, halves the square; the other three
+        # lie a full unit outside it.
+        clip = [P(0.5, -1.0), P(0.5, 2.0), P(-1.0, 2.0), P(-1.0, -1.0)]
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1:3])
+            return clip_halfplane(*args)
+
+        monkeypatch.setattr(geometry, "clip_halfplane", counted)
+        chain = list(unit_square.vertices)
+        assert clip_by_polygon(chain, clip, 0.0) == _halfplane_chain(chain, clip, 0.0)
+        assert calls == [(clip[0], clip[1])]
+
+    def test_cut_vertex_that_rounds_past_the_box(self):
+        # The top edge cuts (-0.7, -1) -> (0.3, 1) at t = 1, which rounds the
+        # cut vertex to x = 0.3 + 2**-54 = 0.30000000000000004, right of the
+        # entry box.  The last edge, x = 0.3 upward, clips it: only a box
+        # grown after the cut fails its corner test.
+        chain = [P(-0.7, -1.0), P(0.3, 1.0), P(-0.9, 0.5)]
+        top = 1.0 - 2.0**-53
+        clip = [P(0.3, top), P(-5.0, top), P(-5.0, -5.0), P(0.3, -5.0)]
+        cut = clip_halfplane(chain, clip[0], clip[1], 0.0)
+        assert max(v.x for v in cut) > 0.3
+        want = _halfplane_chain(chain, clip, 0.0)
+        assert want != cut
+        assert _hex(clip_by_polygon(chain, clip, 0.0)) == _hex(want)
 
     def test_empty_chain(self, unit_square):
         assert clip_by_polygon([], unit_square.vertices, 1e-9) == []

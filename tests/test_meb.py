@@ -48,7 +48,14 @@ from hilbert_geometry.sampling import (
     random_interior_point,
 )
 
-from conftest import UNIT_SQUARE, over_metrics, seeded, unfiltered_scan
+from conftest import (
+    UNIT_SQUARE,
+    full_ball_pair_value,
+    near_boundary_instance,
+    over_metrics,
+    seeded,
+    unfiltered_scan,
+)
 
 P = Point2
 SQUARE = normalize_polygon(UNIT_SQUARE)
@@ -238,6 +245,34 @@ class TestTwoPointCenter:
         inst = pair_instance()
         with pytest.raises(CoincidentPoints):
             two_point_center(inst, P(0.5, 0.5), P(0.5, 0.5))
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e5])
+    def test_facing_windows_match_the_whole_balls(self, offset):
+        # At 1e5 the ends of the contact segment are set by rounding: the
+        # two centers may differ by a tenth of the scale, so only their
+        # cover is checked, and a pair whose tangent ladder comes back empty
+        # (with either construction) is not compared.
+        for m in range(3, 33):
+            rng = seeded(7000 + m)
+            omega = random_convex_polygon(m, rng)
+            pts = [random_interior_point(omega, rng) for _ in range(6)]
+            inst = _translated(omega, pts, MetricKind.HILBERT, offset)
+            for p, q in zip(inst.points[::2], inst.points[1::2]):
+                try:
+                    got = meb._pair_value(inst, p, q, SolveStats())
+                    want = full_ball_pair_value(inst, p, q)
+                except NoFeasibleBasis:
+                    if offset < 1e5:
+                        raise
+                    continue
+                assert got.radius == want.radius
+                if offset < 1e5:
+                    assert math.dist(got.center, want.center) <= 1e-11 * inst.omega.scale
+                    continue
+                for value in (got, want):
+                    for x in (p, q):
+                        d = distance(inst.omega, MetricKind.HILBERT, value.center, x)
+                        assert d <= value.radius + EPS_DIST
 
     @pytest.mark.parametrize("seed, kind", over_metrics(range(10)))
     def test_oracle_equivalence(self, seed, kind):
@@ -660,6 +695,16 @@ class TestObjectiveF:
                         assert values[f_set] == values[gx]
 
 
+def _assert_optimal_interior(inst, result):
+    # ball() inside either solver already required an interior center.
+    assert point_location(inst.omega, result.value.center) is PointLocation.INTERIOR
+    for x in inst.points:
+        assert distance(inst.omega, inst.kind, result.value.center, x) <= (
+            result.value.radius + EPS_DIST
+        )
+    assert feasible_center_set(inst, result.value.radius - 10 * EPS_RADIUS).is_empty
+
+
 class TestWeakMetricMeb:
     @pytest.mark.parametrize(
         "kind", [MetricKind.FUNK, MetricKind.REVERSE_FUNK, MetricKind.THOMPSON]
@@ -679,23 +724,13 @@ class TestWeakMetricMeb:
     # The pinned near-boundary Funk cases below run through both solvers.
     SOLVERS = (min_ball_bisection, lp_type_solve)
 
-    @staticmethod
-    def _assert_optimal_interior(inst, result):
-        # ball() inside either solver already required an interior center.
-        assert point_location(inst.omega, result.value.center) is PointLocation.INTERIOR
-        for x in inst.points:
-            assert distance(inst.omega, inst.kind, result.value.center, x) <= (
-                result.value.radius + EPS_DIST
-            )
-        assert feasible_center_set(inst, result.value.radius - 10 * EPS_RADIUS).is_empty
-
     def test_funk_center_stays_off_the_boundary(self):
         # Funk's center constraints, unclipped reverse homothets, reach the
         # boundary; here the center used to land in the boundary band and
         # realizing the ball raised NotInterior.
         inst = random_instance(6, 30, MetricKind.FUNK, 77)
         for solve in self.SOLVERS:
-            self._assert_optimal_interior(inst, solve(inst))
+            _assert_optimal_interior(inst, solve(inst))
 
     def test_funk_point_between_the_band_and_the_inset(self):
         # A point 1.5 boundary bands inside: interior, but outside the
@@ -705,7 +740,7 @@ class TestWeakMetricMeb:
         inst = make_instance(SQUARE, pts, MetricKind.FUNK)
         assert len(inst.points) == 3
         for solve in self.SOLVERS:
-            self._assert_optimal_interior(inst, solve(inst))
+            _assert_optimal_interior(inst, solve(inst))
 
     def test_funk_optimum_beside_a_point_near_the_boundary(self):
         # The optimal centers reach from the left edge to 1.875 bands inside
@@ -717,7 +752,7 @@ class TestWeakMetricMeb:
         for solve in self.SOLVERS:
             result = solve(inst)
             assert result.value.radius == pytest.approx(math.log(1.25), abs=EPS_DIST)
-            self._assert_optimal_interior(inst, result)
+            _assert_optimal_interior(inst, result)
 
     def test_boundary_subset_center_does_not_raise_a_math_error(self):
         # Seed 127 of a near-boundary recipe: each point is interior or a
@@ -725,26 +760,23 @@ class TestWeakMetricMeb:
         # the boundary.  Its zero slack there only drops that edge from the
         # Funk max, so the cover test neither takes log(0) nor calls the
         # points out of reach, and lp_type_solve agrees with the oracle.
-        rng = seeded(127)
-        omega = random_convex_polygon(10, rng)
-        pts = []
-        for _ in range(rng.randint(2, 5)):
-            if rng.random() < 0.5:
-                pts.append(random_interior_point(omega, rng))
-                continue
-            k = rng.randrange(10)
-            a, b = omega.vertices[k], omega.vertices[(k + 1) % 10]
-            t = rng.uniform(0.05, 0.95)
-            dx, dy, length = b.x - a.x, b.y - a.y, math.hypot(b.x - a.x, b.y - a.y)
-            d = rng.uniform(0.5, 4) * EPS_GEOM * omega.scale
-            pts.append(P(a.x + t * dx - d * dy / length, a.y + t * dy + d * dx / length))
-        inst = make_instance(omega, pts, MetricKind.FUNK)
+        inst = near_boundary_instance(127, MetricKind.FUNK)
         assert len(inst.points) == 5
         oracle = min_ball_bisection(inst)
-        self._assert_optimal_interior(inst, oracle)
+        _assert_optimal_interior(inst, oracle)
         result = lp_type_solve(inst)
-        self._assert_optimal_interior(inst, result)
+        _assert_optimal_interior(inst, result)
         assert abs(result.value.radius - oracle.value.radius) <= 1e-9
+
+    @pytest.mark.parametrize("seed", [126, 127, 132, 165, 196])
+    def test_hilbert_pairs_near_the_boundary_meet(self, seed):
+        # A pair of these instances has a point a few boundary bands inside
+        # an edge.  Clipped whole, its two balls came back empty on every
+        # rung of the tangent ladder; their facing windows meet.
+        inst = near_boundary_instance(seed, MetricKind.HILBERT)
+        result = lp_type_solve(inst)
+        _assert_optimal_interior(inst, result)
+        assert abs(result.value.radius - min_ball_bisection(inst).value.radius) <= 1e-9
 
     def test_center_that_misses_a_point_is_not_returned(self):
         # The optimum sits at a vertex and the second point lies a few bands
@@ -773,16 +805,50 @@ class TestWeakMetricMeb:
                 )
 
 
-def _plain_chain(instance, r):
-    """_feasible_chain without the skip: clip by every constraint polygon."""
-    region = list(instance.omega.vertices)
+def _clip_each(instance, region, pts, r):
+    """region clipped by every constraint polygon of pts at radius r."""
     tol = meb.SOLVER_CLIP_EPS * instance.omega.scale
-    for x in instance.points:
+    for x in pts:
         for poly in meb._center_constraints(instance, x, r):
             region = clip_by_polygon(region, poly, tol)
             if not region:
                 return region
     return region
+
+
+def _plain_chain(instance, r):
+    """_feasible_chain without the skip, from the same start: a Hilbert pass
+    starts from the first ball clipped by omega, the others from omega."""
+    omega, pts = instance.omega, instance.points
+    if instance.kind is not MetricKind.HILBERT:
+        return _clip_each(instance, list(omega.vertices), pts, r)
+    (first,) = meb._center_constraints(instance, pts[0], r)
+    tol = meb.SOLVER_CLIP_EPS * omega.scale
+    return _clip_each(instance, clip_by_polygon(first, omega.vertices, tol), pts[1:], r)
+
+
+def _distance_to_chain(c, chain):
+    """Euclidean distance from c to a convex CCW chain, 0 strictly inside."""
+    n = len(chain)
+    inside = n >= 3
+    best = math.inf
+    for i, a in enumerate(chain):
+        b = chain[(i + 1) % n]
+        ex, ey = b[0] - a[0], b[1] - a[1]
+        wx, wy = c[0] - a[0], c[1] - a[1]
+        inside = inside and ex * wy - ey * wx > 0.0
+        length2 = ex * ex + ey * ey
+        t = min(1.0, max(0.0, (wx * ex + wy * ey) / length2)) if length2 > 0.0 else 0.0
+        best = min(best, math.hypot(wx - t * ex, wy - t * ey))
+    return 0.0 if inside else best
+
+
+def _hausdorff(u, v):
+    """Hausdorff distance of two convex chains: each is the hull of its
+    vertices, so the farthest point of one from the other is a vertex."""
+    return max(
+        max(_distance_to_chain(c, v) for c in u), max(_distance_to_chain(c, u) for c in v)
+    )
 
 
 def _hexes(chain):
@@ -842,6 +908,28 @@ class TestConstraintSkip:
         stats = min_ball_bisection(inst).stats
         assert len(probes) > 30
         assert stats.points_skipped > 0 and stats.points_clipped > 0
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_hilbert_start_is_the_omega_first_set(self, offset):
+        # The first ball clipped by omega, then the rest, against omega
+        # clipped by every ball.  Radii stop at 10: past that, balls reach
+        # within the clip band of omega's vertices, where the two orders
+        # keep different parts of the band.
+        empty = 0
+        for seed in range(60):
+            rng = seeded(seed)
+            omega = random_convex_polygon(3 + seed % 14, rng)
+            pts = [random_interior_point(omega, rng) for _ in range(rng.randint(1, 5))]
+            inst = _translated(omega, pts, MetricKind.HILBERT, offset)
+            for _ in range(4):
+                r = 10.0 ** rng.uniform(-3.0, 1.0)
+                got = meb._feasible_chain(inst, inst.points, r)
+                want = _clip_each(inst, list(inst.omega.vertices), inst.points, r)
+                assert bool(got) == bool(want)
+                empty += not got
+                if got:
+                    assert _hausdorff(got, want) <= 1e-11 * inst.omega.scale
+        assert 0 < empty < 240
 
     def test_stats_count_point_visits_of_large_passes_only(self):
         # At r = 1.2 > ln 3 the four corner balls leave a small region about
