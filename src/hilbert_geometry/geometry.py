@@ -285,10 +285,13 @@ def _require_interior(omega: ConvexPolygon, p: Point2) -> Point2:
 
 
 def _require_direction(direction: Point2 | tuple[float, float]) -> tuple[float, float]:
+    """The direction, checked and scaled by a power of two to a largest
+    component in [0.5, 1), so no product in a ray kernel under- or overflows."""
     dx, dy = float(direction[0]), float(direction[1])
     if not (math.isfinite(dx) and math.isfinite(dy)) or (dx == 0.0 and dy == 0.0):
         raise ValueError(f"direction must be finite and nonzero, got {(dx, dy)}")
-    return dx, dy
+    k = -math.frexp(max(abs(dx), abs(dy)))[1]
+    return math.ldexp(dx, k), math.ldexp(dy, k)
 
 
 def _coincident(omega: ConvexPolygon, p: Point2, q: Point2) -> bool:
@@ -304,10 +307,12 @@ class RayHit(NamedTuple):
 def ray_boundary_intersection(
     omega: ConvexPolygon, p: Point2, direction: Point2 | tuple[float, float]
 ) -> RayHit:
-    """First boundary crossing of the ray from interior point p.
+    """Where the ray from interior point p leaves the polygon.
 
-    Vertex hits are assigned to the edge starting at that vertex, which makes
-    chord construction deterministic.
+    The exit is the least slack ratio over the edges the ray heads out of;
+    a ray through a vertex exits by the edge starting at that vertex, which
+    makes chord construction deterministic.  Raises only for a p that is not
+    interior or a direction that is not finite and nonzero.
     """
     p = _require_interior(omega, p)
     dx, dy = _require_direction(direction)
@@ -315,33 +320,23 @@ def ray_boundary_intersection(
 
 
 def _ray(omega: ConvexPolygon, p: Point2, dx: float, dy: float) -> RayHit:
-    """ray_boundary_intersection for an interior p and a nonzero direction."""
-    norm = math.hypot(dx, dy)
+    """ray_boundary_intersection for an interior p and a nonzero direction.
+
+    Along the ray, edge j's slack falls as s_j(p) + t*c_j with
+    c_j = e_x*dy - e_y*dx, so a ray with c_j < 0 reaches edge j's line at
+    t_j = s_j(p) / -c_j, and it leaves the polygon at the least t_j.  An
+    exact tie is a vertex: it goes to the later of two consecutive edges
+    (edge 0 over edge m-1), the one starting at that vertex.
+    """
     px, py = p[0], p[1]
-    verts = omega.vertices
-    n = len(verts)
-    candidates: list[tuple[float, float, int]] = []  # (t, s, edge index)
-    for i in range(n):
-        a = verts[i]
-        b = verts[(i + 1) % n]
-        ex, ey = b.x - a.x, b.y - a.y
-        det = ex * dy - ey * dx
-        if det == 0.0:
-            continue
-        rx, ry = a.x - px, a.y - py
-        t = (ex * ry - ey * rx) / det
-        s = (dx * ry - dy * rx) / det
-        if t > 0.0 and -EPS_GEOM <= s <= 1.0 + EPS_GEOM:
-            candidates.append((t, s, i))
-    if not candidates:
-        raise NotInterior("ray found no boundary crossing (origin too close to boundary)")
-    t_min = min(t for t, _, _ in candidates)
-    window = t_min * (1.0 + 1e-9) + 1e-15
-    t, s, idx = min(
-        (c for c in candidates if c[0] <= window), key=lambda c: abs(c[1])
-    )
-    hit = Point2(px + t * dx, py + t * dy)
-    return RayHit(hit, idx, t * norm)
+    t, idx = math.inf, -1
+    for j, (ax, ay, ex, ey, _) in enumerate(omega.edge_rows):
+        c = ex * dy - ey * dx
+        if c < 0.0:
+            t_j = (ex * (py - ay) - ey * (px - ax)) / -c
+            if t_j < t or (t_j == t and j == idx + 1):
+                t, idx = t_j, j
+    return RayHit(Point2(px + t * dx, py + t * dy), idx, t * math.hypot(dx, dy))
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ from hilbert_geometry import (
 )
 from hilbert_geometry import meb
 from hilbert_geometry.balls import hilbert_ball_points
-from hilbert_geometry.errors import NoFeasibleBasis
-from hilbert_geometry.geometry import classify_region, clip_by_polygon, lexicographic_min
+from hilbert_geometry.errors import NoFeasibleBasis, NotInterior
+from hilbert_geometry.geometry import RayHit, classify_region, clip_by_polygon, lexicographic_min
 from hilbert_geometry.meb import ObjectiveValue, SolveStats, _move_to_front
 from hilbert_geometry.metrics import EPS_DIST, _distance
 from hilbert_geometry.sampling import random_convex_polygon, random_interior_point
@@ -133,6 +133,41 @@ def reference_point_location(omega: ConvexPolygon, p) -> PointLocation:
         if cross <= tol:
             on_edge = True
     return PointLocation.BOUNDARY if on_edge else PointLocation.INTERIOR
+
+
+def reference_ray(omega: ConvexPolygon, p: Point2, dx: float, dy: float) -> RayHit:
+    """geometry._ray written the way it was before the slack-ratio pass: a
+    candidate list of line crossings whose edge parameter s lies in
+    [-EPS_GEOM, 1 + EPS_GEOM], then the smallest |s| among the candidates
+    within a 1e-9 relative window of the least t.  Outside those windows,
+    which only a ray within ~1e-9 of a vertex meets, the two agree bit for
+    bit: t is computed from the same products."""
+    norm = math.hypot(dx, dy)
+    px, py = p[0], p[1]
+    verts = omega.vertices
+    n = len(verts)
+    candidates: list[tuple[float, float, int]] = []  # (t, s, edge index)
+    for i in range(n):
+        a = verts[i]
+        b = verts[(i + 1) % n]
+        ex, ey = b.x - a.x, b.y - a.y
+        det = ex * dy - ey * dx
+        if det == 0.0:
+            continue
+        rx, ry = a.x - px, a.y - py
+        t = (ex * ry - ey * rx) / det
+        s = (dx * ry - dy * rx) / det
+        if t > 0.0 and -EPS_GEOM <= s <= 1.0 + EPS_GEOM:
+            candidates.append((t, s, i))
+    if not candidates:
+        raise NotInterior("ray found no boundary crossing (origin too close to boundary)")
+    t_min = min(t for t, _, _ in candidates)
+    window = t_min * (1.0 + 1e-9) + 1e-15
+    t, s, idx = min(
+        (c for c in candidates if c[0] <= window), key=lambda c: abs(c[1])
+    )
+    hit = Point2(px + t * dx, py + t * dy)
+    return RayHit(hit, idx, t * norm)
 
 
 def boundary_samples(ball: MetricBall, per_edge: int = 16) -> list[Point2]:

@@ -9,6 +9,7 @@ from hilbert_geometry import (
     ClipResult,
     Degenerate,
     EmptyRegion,
+    MetricKind,
     NotConvex,
     NotInterior,
     Point2,
@@ -21,18 +22,28 @@ from hilbert_geometry import (
     lexicographic_min,
     normalize_polygon,
     orientation,
+    point_at_distance,
     point_location,
     ray_boundary_intersection,
 )
-from hilbert_geometry import geometry
-from hilbert_geometry.geometry import clip_by_polygon, clip_halfplane
+from hilbert_geometry import balls, geometry
+from hilbert_geometry.geometry import ConvexPolygon, clip_by_polygon, clip_halfplane
 from hilbert_geometry.sampling import random_convex_polygon, random_interior_point
 
-from conftest import UNIT_SQUARE, reference_point_location, seeded
+from conftest import UNIT_SQUARE, reference_point_location, reference_ray, seeded
 
 
 def P(x, y):
     return Point2(x, y)
+
+
+def _bits(value):
+    """value with every float written exactly, so == compares bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return [_bits(v) for v in value]
+    return value
 
 
 def _magnitude(poly):
@@ -141,12 +152,50 @@ class TestRayBoundaryIntersection:
         assert hit.point == pytest.approx((1.0, 0.5))
         assert hit.distance == pytest.approx(0.5)
 
-    def test_through_corner(self, unit_square):
-        hit = ray_boundary_intersection(unit_square, P(0.5, 0.5), (1, 1))
-        assert hit.point == pytest.approx((1.0, 1.0))
+    @pytest.mark.parametrize(
+        "direction, corner, edge",
+        [
+            pytest.param((1, 1), (1, 1), 2, id="upper_right"),
+            pytest.param((-1, 1), (0, 1), 3, id="upper_left"),
+            pytest.param((-1, -1), (0, 0), 0, id="lower_left"),
+            pytest.param((1, -1), (1, 0), 1, id="lower_right"),
+        ],
+    )
+    def test_through_corner(self, unit_square, direction, corner, edge):
+        hit = ray_boundary_intersection(unit_square, P(0.5, 0.5), direction)
+        assert hit.point == pytest.approx(corner)
         assert hit.distance == pytest.approx(math.sqrt(2) / 2)
-        # Vertex hits belong to the edge starting at that vertex: (1,1)->(0,1).
-        assert hit.edge_index == 2
+        # Vertex hits belong to the edge starting at that vertex; at (0, 0)
+        # that is edge 0, over edge 3 (the tie that wraps around).
+        assert hit.edge_index == edge
+
+    @pytest.mark.parametrize("eps", [1e-11, 1e-10, 9e-10])
+    def test_near_vertex_ray_exits_through_its_edge(self, unit_square, eps):
+        # Aimed just below the corner (1, 1): the ray leaves through the
+        # right edge x = 1, not through the top edge beyond x = 1.
+        p, d = P(0.5, 0.5), (0.5, 0.5 - 0.5 * eps)
+        hit = ray_boundary_intersection(unit_square, p, d)
+        assert hit.edge_index == 1
+        assert hit.point.x <= 1.0
+        assert abs(d[0] * (hit.point.y - p.y) - d[1] * (hit.point.x - p.x)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "direction, k",
+        [((1e-320, 0.0), 1063), ((1e-310, 1e-310), 1029), ((1.5e308, 1.5e308), -1024)],
+    )
+    def test_extreme_direction_magnitudes(self, unit_square, direction, k):
+        # Only the direction's angle matters: the same direction scaled by
+        # 2**k to order 1 gives the same hit, and the same point at distance r.
+        p = P(0.5, 0.5)
+        scaled = (math.ldexp(direction[0], k), math.ldexp(direction[1], k))
+        assert 0.5 <= max(map(abs, scaled)) < 1.0
+        hit = ray_boundary_intersection(unit_square, p, direction)
+        assert hit == ray_boundary_intersection(unit_square, p, scaled)
+        assert math.isfinite(hit.distance)
+        kind = MetricKind.HILBERT
+        assert point_at_distance(unit_square, kind, p, direction, 0.3) == point_at_distance(
+            unit_square, kind, p, scaled, 0.3
+        )
 
     def test_backward(self, unit_square):
         hit = ray_boundary_intersection(unit_square, P(0.25, 0.5), (-1, 0))
@@ -169,6 +218,30 @@ class TestRayBoundaryIntersection:
         cross = d[0] * (hit.point.y - p.y) - d[1] * (hit.point.x - p.x)
         assert abs(cross) <= 1e-9 * max(_magnitude(omega), 1.0)
         assert hit.distance > 0
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e5])
+    def test_equals_reference_ray(self, offset):
+        # The slack-ratio pass against the candidate-window reference, and
+        # half-spokes built on each, bit for bit.  These seeded draws meet no
+        # ray within the reference's 1e-9 window about a vertex, where it
+        # may pick another edge.
+        for m in range(3, 33):
+            rng = seeded(9000 + m)
+            base = random_convex_polygon(m, rng)
+            shift = offset * base.scale
+            omega = ConvexPolygon(tuple(P(v.x + shift, v.y + shift) for v in base.vertices))
+            for _ in range(3):
+                q = random_interior_point(base, rng)
+                p = P(q.x + shift, q.y + shift)
+                if point_location(omega, p) is not PointLocation.INTERIOR:
+                    continue
+                angle = rng.uniform(0, 2 * math.pi)
+                d = (math.cos(angle), math.sin(angle))
+                assert _bits(geometry._ray(omega, p, *d)) == _bits(reference_ray(omega, p, *d))
+                spokes = balls._half_spokes(omega, p)
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(balls, "_ray", reference_ray)
+                    assert _bits(spokes) == _bits(balls._half_spokes(omega, p))
 
 
 class TestChordFrame:

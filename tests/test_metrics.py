@@ -9,7 +9,6 @@ from hilbert_geometry import (
     NotInterior,
     Point2,
     Unreachable,
-    chord_frame,
     distance,
     normalize_polygon,
     point_at_distance,
@@ -18,7 +17,7 @@ from hilbert_geometry import (
 from hilbert_geometry.metrics import EPS_DIST, _distance
 from hilbert_geometry.sampling import random_convex_polygon, random_interior_point
 
-from conftest import apply_projective, random_projective_map, seeded
+from conftest import apply_projective, random_projective_map, reference_ray, seeded
 
 ALL_KINDS = list(MetricKind)
 P = Point2
@@ -117,8 +116,9 @@ class TestCompositionIdentities:
 
 
 class TestSlackKernel:
-    """Distances come from edge slacks; the chord formula built from
-    chord_frame's ray hits is the independent reference."""
+    """Distances come from edge slacks; the chord formula built from the
+    candidate-window reference_ray's hits is the independent reference
+    (chord_frame reads the same edge table as the distances)."""
 
     @pytest.mark.parametrize("seed", range(30))
     def test_equals_chord_formula(self, seed):
@@ -126,15 +126,18 @@ class TestSlackKernel:
         omega = random_convex_polygon(3 + seed, rng)
         for _ in range(10):
             p, q = random_interior_point(omega, rng), random_interior_point(omega, rng)
-            frame = chord_frame(omega, p, q)
-            fwd = math.log(frame.d_p_front / frame.d_q_front)
-            back = math.log(frame.d_q_rear / frame.d_p_rear)
+            front = reference_ray(omega, p, q.x - p.x, q.y - p.y).point
+            rear = reference_ray(omega, p, p.x - q.x, p.y - q.y).point
+            d_p_front = math.hypot(p.x - front.x, p.y - front.y)
+            d_q_front = math.hypot(q.x - front.x, q.y - front.y)
+            d_p_rear = math.hypot(p.x - rear.x, p.y - rear.y)
+            d_q_rear = math.hypot(q.x - rear.x, q.y - rear.y)
+            fwd = math.log(d_p_front / d_q_front)
+            back = math.log(d_q_rear / d_p_rear)
             expected = {
                 MetricKind.FUNK: fwd,
                 MetricKind.REVERSE_FUNK: back,
-                MetricKind.HILBERT: 0.5 * math.log(
-                    (frame.d_q_rear / frame.d_p_rear) * (frame.d_p_front / frame.d_q_front)
-                ),
+                MetricKind.HILBERT: 0.5 * math.log((d_q_rear / d_p_rear) * (d_p_front / d_q_front)),
                 MetricKind.THOMPSON: max(fwd, back),
             }
             for kind, value in expected.items():
