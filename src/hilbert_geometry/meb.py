@@ -10,13 +10,17 @@ Two solvers share one objective:
 
 Both serve all four metrics.  Hilbert pairs take the closed-form radius d/2,
 with the center where the two balls touch, found by clipping only the ball
-edges that face each other (``_facing``); other pairs are bisected.
+edges that face each other (``_facing``); other pairs are bisected.  A
+Hilbert pair keeps that contact set: a triple ties the largest pair radius
+only inside it, so the tie is decided by clipping it with the third ball.
 Three-point bases larger than any pair (case 3 of ``_three_point_core``)
 bisect up from the largest pair radius, to the least radius at which a
 pair's center covers the third point.  Hilbert ones stop once the three ball
 edges meeting at the optimum are known, then take a certified sign-change
 root for the radius where they concur; without one, the bisection result
-stands.
+stands.  The three edges' halfplanes also certify that no center exists
+just below the root (a Farkas witness, ``_witness_empty``); a region pass
+runs only when they cannot.
 
 The objective value is the pair (radius, center) under lexicographic order
 (radius, then center.x, then center.y), which makes the optimum unique even
@@ -48,9 +52,9 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .balls import (
     MetricBall,
+    _half_spokes,
     ball,
     funk_ball_points,
-    half_spokes,
     hilbert_ball_points,
     reverse_funk_ball_points,
 )
@@ -115,6 +119,9 @@ class SolveStats:
     case2_ties: int = 0  # a center at the largest pair radius covers all three
     case3_roots: int = 0  # Hilbert: radius from the certified concurrency root
     case3_fallbacks: int = 0  # radius left to plain bisection (every non-Hilbert case 3)
+    # Case-3 roots whose "no center eps_radius below" check needed a region
+    # pass, since the three edges' halfplanes did not witness it.
+    certify_passes: int = 0
     # Point visits of _feasible_chain passes over more than three points:
     # clipped, or skipped since no clip of theirs could cut (_holds_box).
     points_clipped: int = 0
@@ -192,12 +199,18 @@ def make_instance(
 # ---------------------------------------------------------------------------
 
 def _cached_half_spokes(instance: MebInstance, p: Point2):
+    """(frames, angles): p's half-spokes and the angles they are sorted by.
+
+    p is an instance point or a checked pair point, so the unchecked
+    kernel runs; the angles are half_spokes' own sort keys, taken once.
+    """
     key = ("spokes", p)
-    frames = instance._cache.get(key)
-    if frames is None:
-        frames = half_spokes(instance.omega, p)
-        instance._cache[key] = frames
-    return frames
+    spokes = instance._cache.get(key)
+    if spokes is None:
+        frames = _half_spokes(instance.omega, p)
+        spokes = (frames, [math.atan2(uy, ux) for ux, uy, _, _ in frames])
+        instance._cache[key] = spokes
+    return spokes
 
 
 def _center_constraints(
@@ -206,7 +219,7 @@ def _center_constraints(
     """CCW polygons whose intersection is {c : d(c, x) <= r}."""
     rev = instance.kind.reversed_kind
     if rev is MetricKind.HILBERT:
-        return [hilbert_ball_points(_cached_half_spokes(instance, x), x, r)]
+        return [hilbert_ball_points(_cached_half_spokes(instance, x)[0], x, r)]
     if rev is MetricKind.FUNK:
         return [funk_ball_points(instance.omega, x, r)]
     if rev is MetricKind.REVERSE_FUNK:
@@ -231,20 +244,17 @@ def _inset(omega: ConvexPolygon, delta: float) -> list[Point2]:
     return out
 
 
-def _spoke_angle(frame: tuple[float, float, float, float]) -> float:
-    return math.atan2(frame[1], frame[0])  # half_spokes' sort key
-
-
-def _sector(frames, vx: float, vy: float) -> int:
+def _sector(angles: list[float], vx: float, vy: float) -> int:
     """Index i of the half-spoke sector [i, i + 1) (CCW, cyclic) holding
-    direction (vx, vy): the Hilbert ball edge facing it joins spokes i and
-    i + 1."""
-    return (bisect_right(frames, math.atan2(vy, vx), key=_spoke_angle) - 1) % len(frames)
+    direction (vx, vy), given the half-spoke angles: the Hilbert ball edge
+    facing it joins spokes i and i + 1."""
+    return (bisect_right(angles, math.atan2(vy, vx)) - 1) % len(angles)
 
 
-def _facing(frames, vx: float, vy: float):
+def _facing(spokes, vx: float, vy: float):
     """Half-spokes i - 1 .. i + 2 (cyclic) about the sector i holding
-    direction (vx, vy); all of them when there are at most four.
+    direction (vx, vy); all of them when there are at most four.  spokes is
+    a (frames, angles) pair.
 
     Two Hilbert balls at r = d/2 touch along a set S that holds the chord
     point, on the ball edge of sector i, and reaches at most into that
@@ -253,10 +263,11 @@ def _facing(frames, vx: float, vy: float):
     them, so clipping two such windows gives S, as clipping the whole
     balls does.
     """
+    frames, angles = spokes
     n = len(frames)
     if n <= 4:
         return frames
-    i = _sector(frames, vx, vy)
+    i = _sector(angles, vx, vy)
     return [frames[(i + k) % n] for k in (-1, 0, 1, 2)]
 
 
@@ -287,11 +298,11 @@ def _holds_box(
     x_lo, x_hi, y_lo, y_hi = x_lo - px - mu, x_hi - px + mu, y_lo - py - mu, y_hi - py + mu
     rev = instance.kind.reversed_kind
     if rev is MetricKind.HILBERT:
-        frames = _cached_half_spokes(instance, x)
+        frames, angles = _cached_half_spokes(instance, x)
         n = len(frames)
         t = math.exp(-2.0 * r)  # hilbert_ball_points' expressions
         for cx, cy in ((x_lo, y_lo), (x_hi, y_lo), (x_hi, y_hi), (x_lo, y_hi)):
-            i = _sector(frames, cx, cy)
+            i = _sector(angles, cx, cy)
             ux, uy, d_fwd, d_back = frames[i]
             u = (1.0 - t) * d_back * d_fwd / (d_fwd * t + d_back)
             ax, ay = u * ux, u * uy
@@ -507,10 +518,19 @@ def two_point_center(instance: MebInstance, p: Point2, q: Point2) -> ObjectiveVa
     return _pair_value(instance, p, q, SolveStats())
 
 
+def _contact_key(p: Point2, q: Point2) -> tuple:
+    return ("contact", p, q) if p <= q else ("contact", q, p)
+
+
 def _pair_value(
     instance: MebInstance, p: Point2, q: Point2, stats: SolveStats
 ) -> ObjectiveValue:
-    """two_point_center of two distinct points already checked interior."""
+    """two_point_center of two distinct points already checked interior.
+
+    A Hilbert pair also leaves its contact chain, the two balls' common
+    part at radius d/2, in the instance cache (``_contact_key``): a tie of
+    a triple at this radius can only lie there.
+    """
     if instance.kind is not MetricKind.HILBERT:
         return _solve_bisection(instance, (p, q), stats)
     omega = instance.omega
@@ -518,7 +538,9 @@ def _pair_value(
     if r_star <= EPS_DIST:
         # Balls this small are below distance tolerance; any point between
         # the pair supports both within EPS_DIST.
-        return ObjectiveValue(r_star, Point2(0.5 * (p.x + q.x), 0.5 * (p.y + q.y)))
+        center = Point2(0.5 * (p.x + q.x), 0.5 * (p.y + q.y))
+        instance._cache[_contact_key(p, q)] = [center]
+        return ObjectiveValue(r_star, center)
     frames_p = _facing(_cached_half_spokes(instance, p), q.x - p.x, q.y - p.y)
     frames_q = _facing(_cached_half_spokes(instance, q), p.x - q.x, p.y - q.y)
     scale = omega.scale
@@ -533,6 +555,7 @@ def _pair_value(
     )
     if not chain:
         raise NoFeasibleBasis("two-point balls failed to intersect at r = d/2")
+    instance._cache[_contact_key(p, q)] = chain
     center = lexicographic_min(classify_region(chain, scale))
     return ObjectiveValue(r_star, center)
 
@@ -578,9 +601,12 @@ def _three_point_core(
     2. some other center at radius exactly R covers all three: the radius
        ties the pair's bitwise, only the center moves (support = all three).
        Evaluating this exactly instead of by bisection keeps the objective
-       monotone under exact comparison.  One region pass at the top bump
-       of the ``_tangent_chain`` ladder decides it, since the smaller bumps
-       give smaller regions; only a tie climbs the ladder for its center;
+       monotone under exact comparison.  The tie region at the top bump of
+       the ``_tangent_chain`` ladder decides it, since the smaller bumps
+       give smaller regions; only a tie climbs the ladder for its center.
+       For Hilbert that region is the contact chain of a pair at R clipped
+       by the third point's ball alone (``_tie_region``); for the other
+       metrics it is a pass over all three points;
     3. otherwise all three points support a strictly larger ball, bisected
        from R up to the least radius at which some pair's center covers
        the third point (reach + 1 if that region comes back empty).  For
@@ -600,7 +626,7 @@ def _three_point_core(
         stats.case1_pairs += 1
         return best
     omega, kind = instance.omega, instance.kind
-    region = partial(_feasible_chain, instance, pts)
+    region = _tie_region(instance, pts, pair_values, r_max)
     top = region(r_max * TOP_BUMP)
     if top:
         stats.case2_ties += 1
@@ -616,7 +642,7 @@ def _three_point_core(
         for v, (i, j) in pair_values
     )
     r_hi = max(r_max, cover) * (1.0 + 1e-9)
-    edges = _ConcurrentEdges(instance, pts) if kind is MetricKind.HILBERT else None
+    edges = _ConcurrentEdges(instance, pts, stats) if kind is MetricKind.HILBERT else None
     value = _solve_bisection(
         instance, pts, stats, r_lo=r_max, polish=edges, r_hi=r_hi if math.isfinite(r_hi) else None
     )
@@ -625,6 +651,29 @@ def _three_point_core(
     else:
         stats.case3_fallbacks += 1
     return (value, (0, 1, 2))
+
+
+def _tie_region(
+    instance: MebInstance,
+    pts: Sequence[Point2],
+    pair_values: Sequence[tuple[ObjectiveValue, tuple[int, int]]],
+    r_max: float,
+) -> Callable[[float], list[Point2]]:
+    """r -> the region whose points are tie centers of pts at radius r.
+
+    Hilbert: a center at r_max covering all three points lies in both
+    balls of every pair, so in the contact chain S of a pair whose radius
+    is r_max (Nielsen & Shao 2017); the region is S clipped by the third
+    point's ball.  Other metrics: the pass over all three points.
+    """
+    if instance.kind is not MetricKind.HILBERT:
+        return partial(_feasible_chain, instance, pts)
+    i, j = next(ij for v, ij in pair_values if v.radius == r_max)
+    contact = instance._cache[_contact_key(pts[i], pts[j])]
+    k = pts[3 - i - j]
+    frames = _cached_half_spokes(instance, k)[0]
+    tol = SOLVER_CLIP_EPS * instance.omega.scale
+    return lambda r: clip_by_polygon(contact, hilbert_ball_points(frames, k, r), tol)
 
 
 def _sign_change_root(
@@ -669,13 +718,18 @@ class _ConcurrentEdges:
     taken relative to the first point, so the solve is translation-invariant.
     A root is accepted only if its center is interior, lies in the assumed
     sector of every point, is within EPS_DIST of all three points, and no
-    center exists eps_radius below it.
+    center exists eps_radius below it.  The three edges' halfplanes at that
+    radius usually witness the last (``_witness_empty``); only when they do
+    not does a region pass decide, and ``certify_passes`` counts it.
     """
 
-    def __init__(self, instance: MebInstance, pts: Sequence[Point2]):
+    def __init__(self, instance: MebInstance, pts: Sequence[Point2], stats: SolveStats):
         self.instance = instance
         self.pts = pts
-        self.frames = [_cached_half_spokes(instance, p) for p in pts]
+        self.stats = stats
+        self.spokes = [_cached_half_spokes(instance, p) for p in pts]
+        ox, oy = pts[0]
+        self.grain = 2.0**-52 * (instance.omega.scale + abs(ox) + abs(oy))
         self.tried: set[tuple[int, ...]] = set()  # triples already root-solved
         self.solved = False
 
@@ -688,7 +742,7 @@ class _ConcurrentEdges:
             return None
 
         def det(r: float) -> float:
-            (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = self._lines(edges, r)
+            (a1, b1, c1, _), (a2, b2, c2, _), (a3, b3, c3, _) = self._lines(edges, r)
             return c1 * (a2 * b3 - a3 * b2) + c2 * (a3 * b1 - a1 * b3) + c3 * (a1 * b2 - a2 * b1)
 
         f_lo, f_hi = det(r_lo), det(r_hi)
@@ -697,7 +751,7 @@ class _ConcurrentEdges:
         self.tried.add(edges)
         r = _sign_change_root(det, r_lo, r_hi, f_lo, f_hi)
         # The three lines meet at one point; intersect the least parallel pair.
-        w, (a1, b1, c1), (a2, b2, c2) = max(
+        w, (a1, b1, c1, _), (a2, b2, c2, _) = max(
             ((l1[0] * l2[1] - l2[0] * l1[1], l1, l2)
              for l1, l2 in combinations(self._lines(edges, r), 2)),
             key=lambda t: abs(t[0]),
@@ -713,21 +767,30 @@ class _ConcurrentEdges:
             point_location(instance.omega, center) is not PointLocation.INTERIOR
             or self._edges(center) != edges
             or not all(_contains_value(instance, value, p) for p in self.pts)
-            or (below > r_lo and _feasible_chain(instance, self.pts, below))
+            or (below > r_lo and not self._empty_at(edges, below))
         ):
             return None
         self.solved = True
         return r, [center]
 
-    def _edges(self, c: Point2) -> tuple[int, ...]:
-        return tuple(_sector(f, c.x - p.x, c.y - p.y) for f, p in zip(self.frames, self.pts))
+    def _empty_at(self, edges: tuple[int, ...], r: float) -> bool:
+        """True when no center of the three points exists at radius r."""
+        scale = self.instance.omega.scale
+        if _witness_empty(self._lines(edges, r), scale, self.grain):
+            return True
+        self.stats.certify_passes += 1
+        return not _feasible_chain(self.instance, self.pts, r)
 
-    def _lines(self, edges: tuple[int, ...], r: float) -> list[tuple[float, float, float]]:
+    def _edges(self, c: Point2) -> tuple[int, ...]:
+        return tuple(_sector(a, c.x - p.x, c.y - p.y) for (_, a), p in zip(self.spokes, self.pts))
+
+    def _lines(self, edges: tuple[int, ...], r: float) -> list[tuple[float, float, float, float]]:
         """Unit-normal lines a*x + b*y + c = 0 of the edges at radius r,
-        relative to the first point; each ball lies where a*x + b*y + c >= 0."""
+        relative to the first point, with the edges' lengths; each ball lies
+        where a*x + b*y + c >= 0."""
         ox, oy = self.pts[0]
         out = []
-        for p, frames, i in zip(self.pts, self.frames, edges):
+        for p, (frames, _), i in zip(self.pts, self.spokes, edges):
             ends = []
             for ux, uy, d_fwd, d_back in (frames[i], frames[(i + 1) % len(frames)]):
                 u = offset_at_distance(MetricKind.HILBERT, d_fwd, d_back, r)
@@ -736,8 +799,42 @@ class _ConcurrentEdges:
             a, b = y1 - y2, x2 - x1  # left normal of the CCW edge
             norm = math.hypot(a, b)
             a, b = a / norm, b / norm
-            out.append((a, b, -(a * x1 + b * y1)))
+            out.append((a, b, -(a * x1 + b * y1), norm))
         return out
+
+
+def _witness_empty(
+    lines: Sequence[tuple[float, float, float, float]], scale: float, grain: float
+) -> bool:
+    """True when three edge halfplanes a*x + b*y + c >= 0 (``_lines``) prove
+    that a region pass over their three balls comes back empty.
+
+    The cofactors l1 = a2*b3 - a3*b2, l2 = a3*b1 - a1*b3, l3 = a1*b2 - a2*b1
+    satisfy sum l_i*(a_i, b_i) = 0.  When all three share a strict sign s,
+    sum s*l_i*(a_i*x + b_i*y + c_i) = sum s*l_i*c_i at every x, so if that
+    sum is below -sum |l_i|*w_i, no x lies within w_i of all three
+    halfplanes (Farkas; McConnell et al. 2011).  Each ball lies in its
+    edge's halfplane, and a pass keeps a vertex only within its clip band
+    tol = SOLVER_CLIP_EPS * scale of every clip edge, so no vertex survives
+    when w_i covers tol plus rounding.  With g = grain, 2**-52 times
+    scale + |o.x| + |o.y| for the first point o, the rounding is: the
+    pass's ball vertices and cut points against these ends, a few g per
+    cut, 64*g over tens of cuts; the tilt that moving an edge of length
+    len_i by a few g gives across Omega's diameter, 16*g*scale/len_i; and
+    the cofactor residual and the sum here, 16*g.  Otherwise it proves
+    nothing and the caller runs the pass.
+    """
+    (a1, b1, c1, n1), (a2, b2, c2, n2), (a3, b3, c3, n3) = lines
+    l1, l2, l3 = a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1
+    if l1 < 0.0 and l2 < 0.0 and l3 < 0.0:
+        l1, l2, l3 = -l1, -l2, -l3
+    elif not (l1 > 0.0 and l2 > 0.0 and l3 > 0.0):
+        return False
+    tol = SOLVER_CLIP_EPS * scale
+    band = sum(
+        l * (tol + grain * (64.0 + 16.0 * scale / n)) for l, n in ((l1, n1), (l2, n2), (l3, n3))
+    )
+    return l1 * c1 + l2 * c2 + l3 * c3 < -band - 16.0 * grain
 
 
 def three_point_value(

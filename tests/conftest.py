@@ -81,8 +81,8 @@ def full_ball_pair_value(instance, p: Point2, q: Point2) -> ObjectiveValue:
     r_star = _distance(omega, MetricKind.HILBERT, p, q) / 2.0
     if r_star <= EPS_DIST:
         return ObjectiveValue(r_star, Point2(0.5 * (p.x + q.x), 0.5 * (p.y + q.y)))
-    frames_p = meb._cached_half_spokes(instance, p)
-    frames_q = meb._cached_half_spokes(instance, q)
+    frames_p = meb._cached_half_spokes(instance, p)[0]
+    frames_q = meb._cached_half_spokes(instance, q)[0]
     tol = meb.SOLVER_CLIP_EPS * omega.scale
     chain = meb._tangent_chain(
         r_star,

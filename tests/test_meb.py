@@ -1,4 +1,6 @@
 import math
+from functools import partial
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,8 @@ from hilbert_geometry import (
     violation_test,
 )
 from hilbert_geometry import meb
-from hilbert_geometry.geometry import clip_by_polygon
+from hilbert_geometry.balls import hilbert_ball_points
+from hilbert_geometry.geometry import classify_region, clip_by_polygon, lexicographic_min
 from hilbert_geometry.meb import (
     EPS_RADIUS,
     MAX_BISECTION_ITERATIONS,
@@ -334,14 +337,13 @@ class TestThreePointValue:
         # Directions just before spoke 0 and just past the last spoke lie in
         # one sector; _ConcurrentEdges compares the sectors of its guess and
         # of its root's center, so both must get the same index.
-        frames = meb._cached_half_spokes(pair_instance(), P(0.3, 0.6))
+        frames, angles = meb._cached_half_spokes(pair_instance(), P(0.3, 0.6))
         n = len(frames)
+        assert angles == [math.atan2(uy, ux) for ux, uy, _, _ in frames] == sorted(angles)
         for i, (ux, uy, _, _) in enumerate(frames):
-            assert meb._sector(frames, ux, uy) == i
-        first = math.atan2(frames[0][1], frames[0][0])
-        last = math.atan2(frames[-1][1], frames[-1][0])
-        for angle in (first - 1e-9, last + 1e-9):
-            assert meb._sector(frames, math.cos(angle), math.sin(angle)) == n - 1
+            assert meb._sector(angles, ux, uy) == i
+        for angle in (angles[0] - 1e-9, angles[-1] + 1e-9):
+            assert meb._sector(angles, math.cos(angle), math.sin(angle)) == n - 1
 
     @pytest.mark.parametrize("seed, kind", over_metrics(range(10)))
     def test_oracle_equivalence(self, seed, kind):
@@ -370,33 +372,55 @@ def _case3_with_pairs_cached(kind):
 
 
 class TestThreePointPasses:
-    """Case 2 is decided by one region pass; case 3 brackets from the pair
+    """Case 2 is decided by one tie region; case 3 brackets from the pair
     centers and falls back to reach + 1 if that region is empty."""
 
     @pytest.mark.parametrize("kind", list(MetricKind))
     def test_case3_triple_makes_one_tie_pass(self, monkeypatch, kind):
         inst, r_max = _case3_with_pairs_cached(kind)
-        radii = []
+        contacts = [v for key, v in inst._cache.items() if key[0] == "contact"]
+        radii, built, contact_clips = [], [], []
 
         def spy(instance, pts, r, **kw):
             radii.append(r)
             return FEASIBLE_CHAIN(instance, pts, r, **kw)
 
+        def ball_spy(frames, p, r):
+            built.append(r)
+            return hilbert_ball_points(frames, p, r)
+
+        def clip_spy(pts, clip, tol):
+            if any(pts is chain for chain in contacts):
+                contact_clips.append(built[-1])
+            return clip_by_polygon(pts, clip, tol)
+
         monkeypatch.setattr(meb, "_feasible_chain", spy)
+        monkeypatch.setattr(meb, "hilbert_ball_points", ball_spy)
+        monkeypatch.setattr(meb, "clip_by_polygon", clip_spy)
         stats = SolveStats()
         basis = _subset_value(inst, (0, 1, 2), stats)
         assert basis.indices == (0, 1, 2)
         assert basis.value.radius > r_max * TOP_BUMP
-        # Case-3 probes all lie above the tie ladder; the ladder ran once, at its top.
-        assert [r for r in radii if r <= r_max * TOP_BUMP] == [r_max * TOP_BUMP]
+        # One tie decision, at the top of the tie ladder, and case-3 probes
+        # all above it.  Hilbert decides on a pair's contact chain clipped by
+        # the third ball, with no pass over three balls; the other metrics
+        # make one such pass.
+        tie_passes = [r for r in radii if r <= r_max * TOP_BUMP]
         hilbert = kind is MetricKind.HILBERT
+        assert len(contacts) == (3 if hilbert else 0)
+        assert tie_passes == ([] if hilbert else [r_max * TOP_BUMP])
+        assert contact_clips == ([r_max * TOP_BUMP] if hilbert else [])
         assert (stats.case3_roots, stats.case3_fallbacks) == ((1, 0) if hilbert else (0, 1))
 
     @pytest.mark.parametrize("kind", list(MetricKind))
     def test_empty_tight_region_falls_back_to_reach_bracket(self, monkeypatch, kind):
         inst, r_max = _case3_with_pairs_cached(kind)
         # The value of a bisection from r_max up to reach + 1 alone.
-        polish = _ConcurrentEdges(inst, inst.points) if kind is MetricKind.HILBERT else None
+        polish = (
+            _ConcurrentEdges(inst, inst.points, SolveStats())
+            if kind is MetricKind.HILBERT
+            else None
+        )
         want = _solve_bisection(inst, inst.points, SolveStats(), r_lo=r_max, polish=polish)
         emptied = []
 
@@ -421,6 +445,146 @@ class TestThreePointPasses:
         assert triples > 0
         cases = (stats.case1_pairs, stats.case2_ties, stats.case3_roots, stats.case3_fallbacks)
         assert sum(cases) == triples
+
+
+def _seeded_triples(offset=0.0):
+    """Ten seeded 8-point Hilbert instances, moved by offset * scale, with
+    every triple of each: 560 triples, about a tenth of them ties and a
+    tenth case-3 roots."""
+    for seed in range(10):
+        base = random_instance(4 + seed % 9, 8, MetricKind.HILBERT, seed=900 + seed)
+        inst = _translated(base.omega, base.points, MetricKind.HILBERT, offset)
+        yield inst, list(combinations(range(len(inst.points)), 3))
+
+
+class TestContactSetTies:
+    """A Hilbert tie at the largest pair radius can only lie in that pair's
+    contact chain, so the chain clipped by the third ball decides it."""
+
+    def test_pair_leaves_its_contact_chain(self):
+        inst = random_instance(7, 2, MetricKind.HILBERT, seed=21)
+        p, q = inst.points
+        value = meb._pair_value(inst, p, q, SolveStats())
+        chain = inst._cache[meb._contact_key(q, p)]
+        assert inst._cache[meb._contact_key(p, q)] is chain
+        assert lexicographic_min(classify_region(chain, inst.omega.scale)) == value.center
+
+    def test_tiny_pair_leaves_its_midpoint(self):
+        a, b = P(0.5, 0.5), P(0.5 + 1e-8, 0.5)
+        inst = make_instance(SQUARE, [a, b], MetricKind.HILBERT)
+        value = meb._pair_value(inst, *inst.points, SolveStats())
+        assert value.radius <= EPS_DIST
+        assert inst._cache[meb._contact_key(*inst.points)] == [value.center]
+
+    def test_decides_as_the_three_ball_pass(self, monkeypatch):
+        def solve_all():
+            stats = SolveStats()
+            values = [
+                _subset_value(inst, idxs, stats)
+                for inst, triples in _seeded_triples()
+                for idxs in triples
+            ]
+            return stats, values
+
+        got_stats, got = solve_all()
+        monkeypatch.setattr(
+            meb, "_tie_region", lambda instance, pts, *_: partial(FEASIBLE_CHAIN, instance, pts)
+        )
+        want_stats, want = solve_all()
+        assert got_stats == want_stats
+        assert got_stats.case2_ties > 50 and got_stats.case3_roots > 50
+        for g, w in zip(got, want):
+            assert g.indices == w.indices
+            assert g.value.radius.hex() == w.value.radius.hex()
+            # Tie centers come from another chain, so they may move by ulps.
+            assert math.dist(g.value.center, w.value.center) <= 1e-14
+
+
+class TestCertifyWitness:
+    """A case-3 root is certified (no center eps_radius below it) by the
+    three edge halfplanes when they witness it, by a region pass otherwise."""
+
+    # Three unit normals that positively span the plane, and three that lie
+    # in an open half-plane.
+    SPANNING = [(1.0, 0.0), (-0.5, math.sqrt(0.75)), (-0.5, -math.sqrt(0.75))]
+    HALF_PLANE = [(1.0, 0.0), (0.6, 0.8), (0.0, 1.0)]
+
+    def test_spanning_normals_with_a_gap_are_a_witness(self):
+        scale, grain = 1.0, 2.0**-52
+        # a*x + b*y + c >= 0 with c = -1e-9: three halfplanes whose common
+        # part would need a*x + b*y >= 1e-9 for all three, summing to 0.
+        lines = [(a, b, -1e-9, 0.5) for a, b in self.SPANNING]
+        assert meb._witness_empty(lines, scale, grain)
+        # A gap inside the clip band proves nothing.
+        tol = meb.SOLVER_CLIP_EPS * scale
+        lines = [(a, b, -0.5 * tol, 0.5) for a, b in self.SPANNING]
+        assert not meb._witness_empty(lines, scale, grain)
+        lines = [(a, b, 1e-9, 0.5) for a, b in self.SPANNING]
+        assert not meb._witness_empty(lines, scale, grain)
+
+    def test_normals_that_do_not_span_fall_back_to_the_pass(self, monkeypatch):
+        lines = [(a, b, -1.0, 0.5) for a, b in self.HALF_PLANE]
+        assert not meb._witness_empty(lines, 1.0, 2.0**-52)
+        # Degenerate: two opposite normals, a zero cofactor.
+        lines = [(1.0, 0.0, -1.0, 0.5), (0.0, 1.0, -1.0, 0.5), (-1.0, 0.0, -1.0, 0.5)]
+        assert not meb._witness_empty(lines, 1.0, 2.0**-52)
+        # When the witness proves nothing, the certificate is a region pass
+        # at eps_radius below the root, and the value keeps every bit.
+        inst, _ = _case3_with_pairs_cached(MetricKind.HILBERT)
+        want_stats = SolveStats()
+        want = _subset_value(inst, (0, 1, 2), want_stats)
+        assert want_stats.certify_passes == 0
+        inst, _ = _case3_with_pairs_cached(MetricKind.HILBERT)
+        radii = []
+
+        def spy(instance, pts, r, **kw):
+            radii.append(r)
+            return FEASIBLE_CHAIN(instance, pts, r, **kw)
+
+        monkeypatch.setattr(meb, "_witness_empty", lambda *_: False)
+        monkeypatch.setattr(meb, "_feasible_chain", spy)
+        stats = SolveStats()
+        got = _subset_value(inst, (0, 1, 2), stats)
+        assert stats.certify_passes == 1
+        assert radii[-1] == got.value.radius - inst.eps_radius
+        assert got.indices == want.indices
+        assert got.value.radius.hex() == want.value.radius.hex()
+        assert [c.hex() for c in got.value.center] == [c.hex() for c in want.value.center]
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e5])
+    def test_never_empty_where_the_pass_is_not(self, monkeypatch, offset):
+        # Probe each certified root's three edges from 1e-9 below to 1e-9
+        # above it: wherever the witness says "empty", the pass over the
+        # three balls must come back empty too.
+        certified = []
+        real = _ConcurrentEdges._empty_at
+
+        def spy(hook, edges, r):
+            certified.append((hook, edges, r + hook.instance.eps_radius))
+            return real(hook, edges, r)
+
+        monkeypatch.setattr(_ConcurrentEdges, "_empty_at", spy)
+        stats = SolveStats()
+        for inst, triples in _seeded_triples(offset):
+            for idxs in triples:
+                try:
+                    _subset_value(inst, idxs, stats)
+                except NoFeasibleBasis:
+                    # At 1e5 some tangent ladders of pairs come back empty.
+                    assert offset == 1e5
+        assert len(certified) > 50
+        if offset == 0.0:
+            assert stats.certify_passes == 0  # the witness decided them all
+        steps = [1e-9 * 2.0**-k for k in range(17)]
+        decided = 0
+        for hook, edges, root in certified:
+            scale = hook.instance.omega.scale
+            for r in [root - d for d in steps] + [root] + [root + d for d in steps]:
+                if meb._witness_empty(hook._lines(edges, r), scale, hook.grain):
+                    decided += 1
+                    assert not FEASIBLE_CHAIN(hook.instance, hook.pts, r), (edges, root, r)
+        if offset == 0.0:
+            assert decided > 5 * len(certified)
 
 
 class TestViolationAndBasis:
@@ -948,8 +1112,8 @@ class TestConstraintSkip:
         # r = ln 3 the ball is [0.1, 0.9]^2.
         inst = make_instance(SQUARE, [(0.5, 0.5)], MetricKind.HILBERT)
         x = inst.points[0]
-        frames = meb._cached_half_spokes(inst, x)
-        assert meb._spoke_angle(frames[-1]) < math.pi < meb._spoke_angle(frames[0]) + 2 * math.pi
+        _, angles = meb._cached_half_spokes(inst, x)
+        assert angles[-1] < math.pi < angles[0] + 2 * math.pi
         assert meb._holds_box(inst, x, LN3, (0.12, 0.56, 0.46, 0.55))
         # Only the left corners, both in the wrap-around sector, are outside.
         assert not meb._holds_box(inst, x, LN3, (0.08, 0.56, 0.46, 0.55))
